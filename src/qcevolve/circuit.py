@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import pi
 
@@ -26,7 +27,6 @@ class Role(enum.Enum):
     SINGLE = "single"
     CONTROL = "control"
     TARGET = "target"
-    AFFECTED = "affected"  # reserved for gates of arity > 2
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,29 @@ def from_columns(n_qubits: int, columns: list[tuple[Gate, ...]]) -> Circuit:
     return Circuit(n_qubits, grid)
 
 
+def _pair_problem(
+    columns: Sequence[Sequence[Gate]], row: int, col: int
+) -> str | None:
+    """What is wrong with the two-qubit cell columns[col][row] and its
+    partner, or None when the pair is intact (or the cell is one-qubit)."""
+    cells = columns[col]
+    g = cells[row]
+    if g.kind.arity != 2:
+        return None
+    if g.role not in (Role.CONTROL, Role.TARGET):
+        return "two-qubit gate needs a control/target role"
+    if g.partner is None or not (0 <= g.partner < len(cells)) or g.partner == row:
+        return "invalid partner row"
+    p = cells[g.partner]
+    if (
+        p.kind is not g.kind
+        or p.partner != row
+        or {p.role, g.role} != {Role.CONTROL, Role.TARGET}
+    ):
+        return f"partner cell ({g.partner}, {col}) does not match"
+    return None
+
+
 def validate(circuit: Circuit) -> None:
     """Raise CircuitStructureError naming the first offending cell."""
     n, m = circuit.n_qubits, circuit.depth
@@ -76,6 +99,7 @@ def validate(circuit: Circuit) -> None:
         raise CircuitStructureError("circuit has no columns")
     if any(len(row) != m for row in circuit.grid):
         raise CircuitStructureError("ragged grid")
+    columns = tuple(zip(*circuit.grid))
     for r in range(n):
         for c in range(m):
             g = circuit.grid[r][c]
@@ -90,21 +114,9 @@ def validate(circuit: Circuit) -> None:
                         f"{where}: one-qubit gate with two-qubit metadata"
                     )
             else:
-                if g.role not in (Role.CONTROL, Role.TARGET):
-                    raise CircuitStructureError(
-                        f"{where}: two-qubit gate needs a control/target role"
-                    )
-                if g.partner is None or not (0 <= g.partner < n) or g.partner == r:
-                    raise CircuitStructureError(f"{where}: invalid partner row")
-                p = circuit.grid[g.partner][c]
-                if (
-                    p.kind is not g.kind
-                    or p.partner != r
-                    or {p.role, g.role} != {Role.CONTROL, Role.TARGET}
-                ):
-                    raise CircuitStructureError(
-                        f"{where}: partner cell ({g.partner}, {c}) does not match"
-                    )
+                problem = _pair_problem(columns, r, c)
+                if problem is not None:
+                    raise CircuitStructureError(f"{where}: {problem}")
 
 
 def is_valid(circuit: Circuit) -> bool:
@@ -115,20 +127,38 @@ def is_valid(circuit: Circuit) -> bool:
     return True
 
 
-def _random_one_qubit_gate(
-    kinds: list[GateKind], rng: np.random.Generator
-) -> Gate:
-    kind = kinds[rng.integers(len(kinds))]
-    theta = float(rng.uniform(-pi, pi)) if kind.parameterized else None
-    return Gate(kind, Role.SINGLE, theta)
-
-
 def _split_gate_set(
     gate_set: frozenset[GateKind],
 ) -> tuple[list[GateKind], list[GateKind]]:
     one_q = sorted((k for k in gate_set if k.arity == 1), key=lambda k: k.value)
     two_q = sorted((k for k in gate_set if k.arity == 2), key=lambda k: k.value)
     return one_q, two_q
+
+
+def _draw_gate(
+    cells: list[Gate | None],
+    row: int,
+    free: list[int],
+    one_q: list[GateKind],
+    two_q: list[GateKind],
+    rng: np.random.Generator,
+) -> None:
+    """Place a random gate on `row` of the column `cells`: a one-qubit kind,
+    or a two-qubit kind whose partner row is popped from `free`; identity
+    when no kind can be drawn."""
+    choices = one_q + two_q if free and two_q else one_q
+    if not choices:
+        cells[row] = IDENTITY
+        return
+    kind = choices[rng.integers(len(choices))]
+    if kind.arity == 1:
+        theta = float(rng.uniform(-pi, pi)) if kind.parameterized else None
+        cells[row] = Gate(kind, Role.SINGLE, theta)
+    else:
+        other = free.pop(rng.integers(len(free)))
+        ctrl, tgt = (row, other) if rng.random() < 0.5 else (other, row)
+        cells[ctrl] = Gate(kind, Role.CONTROL, partner=tgt)
+        cells[tgt] = Gate(kind, Role.TARGET, partner=ctrl)
 
 
 def random_column(
@@ -143,22 +173,7 @@ def random_column(
     cells: list[Gate | None] = [None] * n_qubits
     free = [int(i) for i in rng.permutation(n_qubits)]
     while free:
-        row = free.pop()
-        choices: list[GateKind] = list(one_q)
-        if free and two_q:
-            choices += two_q
-        if not choices:
-            cells[row] = IDENTITY
-            continue
-        kind = choices[rng.integers(len(choices))]
-        if kind.arity == 1:
-            theta = float(rng.uniform(-pi, pi)) if kind.parameterized else None
-            cells[row] = Gate(kind, Role.SINGLE, theta)
-        else:
-            other = free.pop(rng.integers(len(free)))
-            ctrl, tgt = (row, other) if rng.random() < 0.5 else (other, row)
-            cells[ctrl] = Gate(kind, Role.CONTROL, partner=tgt)
-            cells[tgt] = Gate(kind, Role.TARGET, partner=ctrl)
+        _draw_gate(cells, free.pop(), free, one_q, two_q, rng)
     return tuple(cells)  # type: ignore[arg-type]
 
 
@@ -203,20 +218,7 @@ def pad_to(circuit: Circuit, n_qubits: int, depth: int) -> Circuit:
     return Circuit(n_qubits, grid)
 
 
-def _is_dangling(grid: list[list[Gate]], n: int, row: int, col: int) -> bool:
-    g = grid[row][col]
-    if g.kind.arity != 2:
-        return False
-    if g.role not in (Role.CONTROL, Role.TARGET):
-        return True
-    if g.partner is None or not (0 <= g.partner < n) or g.partner == row:
-        return True
-    p = grid[g.partner][col]
-    return (
-        p.kind is not g.kind
-        or p.partner != row
-        or {p.role, g.role} != {Role.CONTROL, Role.TARGET}
-    )
+_REPAIR_ONE_Q = [GateKind.ID, GateKind.X, GateKind.H]
 
 
 def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
@@ -227,21 +229,18 @@ def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     other row whose gate is overwritten. On a single-row grid the dangling
     cell becomes a random one-qubit gate instead.
     """
-    n, m = circuit.n_qubits, circuit.depth
-    grid = [list(row) for row in circuit.grid]
-    one_q_fallback = [GateKind.ID, GateKind.X, GateKind.H]
-    for c in range(m):
+    n = circuit.n_qubits
+    columns = [list(col) for col in zip(*circuit.grid)]
+    for c, cells in enumerate(columns):
         for r in range(n):
-            if not _is_dangling(grid, n, r, c):
+            if _pair_problem(columns, r, c) is None:
                 continue
-            g = grid[r][c]
+            g = cells[r]
             if n == 1:
-                grid[r][c] = _random_one_qubit_gate(one_q_fallback, rng)
+                _draw_gate(cells, r, [], _REPAIR_ONE_Q, [], rng)
                 continue
             role = g.role if g.role in (Role.CONTROL, Role.TARGET) else Role.CONTROL
-            id_rows = [
-                i for i in range(n) if i != r and grid[i][c].kind is GateKind.ID
-            ]
+            id_rows = [i for i in range(n) if i != r and cells[i].kind is GateKind.ID]
             if id_rows:
                 p = min(id_rows, key=lambda i: (abs(i - r), i))
             else:
@@ -251,18 +250,29 @@ def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
                     for i in range(n)
                     if i != r
                     and (
-                        grid[i][c].kind.arity == 1 or _is_dangling(grid, n, i, c)
+                        cells[i].kind.arity == 1
+                        or _pair_problem(columns, i, c) is not None
                     )
                 ]
                 if not others:
                     # every other row holds a valid pair: no partner exists
-                    grid[r][c] = _random_one_qubit_gate(one_q_fallback, rng)
+                    _draw_gate(cells, r, [], _REPAIR_ONE_Q, [], rng)
                     continue
                 p = others[rng.integers(len(others))]
             partner_role = Role.TARGET if role is Role.CONTROL else Role.CONTROL
-            grid[r][c] = Gate(g.kind, role, partner=p)
-            grid[p][c] = Gate(g.kind, partner_role, partner=r)
-    return Circuit(n, tuple(tuple(row) for row in grid))
+            cells[r] = Gate(g.kind, role, partner=p)
+            cells[p] = Gate(g.kind, partner_role, partner=r)
+    return from_columns(n, columns)
+
+
+def theta_cells(circuit: Circuit) -> list[tuple[int, int]]:
+    """(row, col) of every cell carrying a rotation angle, row by row."""
+    return [
+        (r, c)
+        for r in range(circuit.n_qubits)
+        for c in range(circuit.depth)
+        if circuit.grid[r][c].theta is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

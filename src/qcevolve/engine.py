@@ -116,7 +116,6 @@ class GenerationRecord:
     best_fitness: float
     mean_fitness: float
     baseline_best_fitness: float = float("nan")
-    best_individual_id: int = -1
 
 
 def make_rng_streams(seed: int, labels: list[str]) -> dict[str, np.random.Generator]:
@@ -131,12 +130,16 @@ def make_rng_streams(seed: int, labels: list[str]) -> dict[str, np.random.Genera
     return streams
 
 
-def _select_parents(
-    pop: Population, count: int, cfg: RunConfig, rng: np.random.Generator
+def _select(
+    pop: Population,
+    count: int,
+    method: str,
+    cfg: RunConfig,
+    rng: np.random.Generator,
 ) -> list[Individual]:
-    if cfg.parent_selection == "random":
+    if method == "random":
         return select_random(pop, count, rng)
-    if cfg.parent_selection == "roulette":
+    if method == "roulette":
         return select_roulette(pop, count, rng)
     return select_tournament(pop, count, cfg.tournament_size, rng)
 
@@ -156,15 +159,13 @@ def _crossover(
 
 
 class _Evaluator:
-    """Evaluates individuals once and assigns stable ids."""
+    """Scores circuits; a Lamarckian fitness also returns the trained circuit."""
 
     def __init__(self, fitness_fn: FitnessFunction):
         self.fitness_fn = fitness_fn
-        self.count = 0
         self.lamarckian = isinstance(fitness_fn, MLFitness) and fitness_fn.lamarckian
 
     def evaluate(self, circuit: Circuit) -> Individual:
-        self.count += 1
         if self.lamarckian:
             score, trained = self.fitness_fn.evaluate_trained(circuit)
             return Individual(trained, score)
@@ -190,25 +191,15 @@ def _survivors(
         pool = _sorted_by_fitness(children + old_sorted[cfg.elitism :])
         return elites + pool[:rest_slots]
     pool = Population(children + old_sorted[cfg.elitism :])
-    if cfg.survivor_selection == "random":
-        chosen = select_random(pool, rest_slots, rng)
-    elif cfg.survivor_selection == "roulette":
-        chosen = select_roulette(pool, rest_slots, rng)
-    else:
-        chosen = select_tournament(pool, rest_slots, cfg.tournament_size, rng)
-    return elites + chosen
+    return elites + _select(pool, rest_slots, cfg.survivor_selection, cfg, rng)
 
 
-def _record(
-    generation: int, members: list[Individual], evaluator: _Evaluator
-) -> GenerationRecord:
+def _record(generation: int, members: list[Individual]) -> GenerationRecord:
     fits = [ind.fitness for ind in members]
-    best_idx = int(np.argmax(fits))
     return GenerationRecord(
         generation=generation,
-        best_fitness=float(fits[best_idx]),
+        best_fitness=float(fits[int(np.argmax(fits))]),
         mean_fitness=float(np.mean(fits)),
-        best_individual_id=best_idx,
     )
 
 
@@ -227,14 +218,14 @@ def evolve(
         evaluator.evaluate(random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng))
         for _ in range(cfg.population_size)
     ]
-    pop = Population(members, generation_index=0)
-    trace = [_record(0, members, evaluator)]
+    pop = Population(members)
+    trace = [_record(0, members)]
     best_ever = max(members, key=lambda ind: ind.fitness)
 
     for gen in range(1, cfg.generations + 1):
         children: list[Individual] = []
         while len(children) < cfg.children_per_generation:
-            pa, pb = _select_parents(pop, 2, cfg, rng)
+            pa, pb = _select(pop, 2, cfg.parent_selection, cfg, rng)
             if rng.random() < cfg.crossover_prob:
                 ca, cb = _crossover(pa.circuit, pb.circuit, cfg, rng)
             else:
@@ -248,11 +239,11 @@ def evolve(
                     )
                 children.append(evaluator.evaluate(child))
         members = _survivors(pop.members, children, cfg, rng)
-        pop = Population(members, generation_index=gen)
+        pop = Population(members)
         gen_best = max(members, key=lambda ind: ind.fitness)
         if gen_best.fitness > best_ever.fitness:
             best_ever = gen_best
-        trace.append(_record(gen, members, evaluator))
+        trace.append(_record(gen, members))
     return best_ever, trace
 
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, theta_cells
 from .errors import ConfigurationError
 from .simulator import (
     apply_gate,
@@ -32,9 +32,6 @@ class FitnessFunction:
 
     def evaluate(self, circuit: Circuit) -> float:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,6 @@ class FidelityFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         return fidelity_fitness(circuit, self.target, self.depth_weight, self.max_depth)
 
-    def describe(self) -> str:
-        return f"fidelity(depth_weight={self.depth_weight})"
-
 
 class EntanglementFitness(FitnessFunction):
     name = "entanglement"
@@ -132,15 +126,6 @@ class EntanglementFitness(FitnessFunction):
 
 # ---------------------------------------------------------------------------
 # machine-learning fitness
-
-
-def _theta_cells(circuit: Circuit) -> list[tuple[int, int]]:
-    return [
-        (r, c)
-        for r in range(circuit.n_qubits)
-        for c in range(circuit.depth)
-        if circuit.grid[r][c].theta is not None
-    ]
 
 
 def _with_thetas(
@@ -198,12 +183,9 @@ def ml_fitness(
     dataset: Dataset,
     train_steps: int = 100,
     learning_rate: float = 0.2,
-    train_seed: int = 0,
 ) -> float:
     """Training accuracy after finite-difference gradient descent."""
-    score, _ = ml_fitness_trained(
-        circuit, dataset, train_steps, learning_rate, train_seed
-    )
+    score, _ = ml_fitness_trained(circuit, dataset, train_steps, learning_rate)
     return score
 
 
@@ -212,7 +194,6 @@ def ml_fitness_trained(
     dataset: Dataset,
     train_steps: int = 100,
     learning_rate: float = 0.2,
-    train_seed: int = 0,
     fd_step: float = 1e-3,
 ) -> tuple[float, Circuit]:
     """Train the rotation angles; return (accuracy, trained circuit).
@@ -225,7 +206,7 @@ def ml_fitness_trained(
         raise ConfigurationError(
             f"{dataset.features.shape[1]} features exceed {circuit.n_qubits} qubits"
         )
-    cells = _theta_cells(circuit)
+    cells = theta_cells(circuit)
     if not cells or train_steps == 0:
         return _accuracy(_predictions(circuit, dataset), dataset.labels), circuit
     thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
@@ -255,13 +236,11 @@ class MLFitness(FitnessFunction):
         dataset: Dataset,
         train_steps: int = 100,
         learning_rate: float = 0.2,
-        train_seed: int = 0,
         lamarckian: bool = True,
     ):
         self.dataset = dataset
         self.train_steps = train_steps
         self.learning_rate = learning_rate
-        self.train_seed = train_seed
         self.lamarckian = lamarckian
 
     def evaluate(self, circuit: Circuit) -> float:
@@ -269,17 +248,7 @@ class MLFitness(FitnessFunction):
 
     def evaluate_trained(self, circuit: Circuit) -> tuple[float, Circuit]:
         return ml_fitness_trained(
-            circuit,
-            self.dataset,
-            self.train_steps,
-            self.learning_rate,
-            self.train_seed,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"ml(train_steps={self.train_steps}, lr={self.learning_rate}, "
-            f"seed={self.train_seed}, lamarckian={self.lamarckian})"
+            circuit, self.dataset, self.train_steps, self.learning_rate
         )
 
 

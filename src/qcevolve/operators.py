@@ -11,10 +11,13 @@ from .circuit import (
     Circuit,
     Gate,
     Role,
+    _draw_gate,
+    _split_gate_set,
     from_columns,
     pad_to,
     random_column,
     repair,
+    theta_cells,
 )
 from .errors import ConfigurationError
 from .gates import GateKind
@@ -29,7 +32,6 @@ class Individual:
 @dataclass
 class Population:
     members: list[Individual]
-    generation_index: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +196,19 @@ def mutate_single_gate_flip(
     c = int(rng.integers(m))
     hit = circuit.grid[r][c]
     rows = [r] if hit.kind.arity == 1 else [r, hit.partner]
-    grid = [list(row) for row in circuit.grid]
+    cells = list(circuit.column(c))
     for row in rows:
-        grid[row][c] = IDENTITY
-    one_q = sorted((k for k in gate_set_of(ctx) if k.arity == 1), key=lambda k: k.value)
-    two_q = sorted((k for k in gate_set_of(ctx) if k.arity == 2), key=lambda k: k.value)
+        cells[row] = IDENTITY
+    one_q, two_q = _split_gate_set(gate_set_of(ctx))
     for row in rows:
-        if grid[row][c].kind is not GateKind.ID or grid[row][c].role is not Role.SINGLE:
+        if cells[row].kind is not GateKind.ID or cells[row].role is not Role.SINGLE:
             continue  # already claimed by a freshly placed two-qubit gate
-        free_other = [
-            i for i in range(n) if i != row and grid[i][c].kind is GateKind.ID
-        ]
-        choices: list[GateKind] = list(one_q)
-        if free_other and two_q:
-            choices += two_q
-        if not choices:
-            continue
-        kind = choices[rng.integers(len(choices))]
-        if kind.arity == 1:
-            theta = float(rng.uniform(-pi, pi)) if kind.parameterized else None
-            grid[row][c] = Gate(kind, Role.SINGLE, theta)
-        else:
-            other = free_other[rng.integers(len(free_other))]
-            ctrl, tgt = (row, other) if rng.random() < 0.5 else (other, row)
-            grid[ctrl][c] = Gate(kind, Role.CONTROL, partner=tgt)
-            grid[tgt][c] = Gate(kind, Role.TARGET, partner=ctrl)
-    return Circuit(n, tuple(tuple(row) for row in grid))
+        free_other = [i for i in range(n) if i != row and cells[i].kind is GateKind.ID]
+        _draw_gate(cells, row, free_other, one_q, two_q, rng)
+    grid = tuple(
+        old[:c] + (new,) + old[c + 1 :] for old, new in zip(circuit.grid, cells)
+    )
+    return Circuit(n, grid)
 
 
 def gate_set_of(ctx: MutationContext) -> frozenset[GateKind]:
@@ -313,12 +302,7 @@ def mutate_parameter(
     circuit: Circuit, rng: np.random.Generator, ctx: MutationContext
 ) -> Circuit:
     """Jitter one rotation angle with Gaussian noise, if any gate has one."""
-    cells = [
-        (r, c)
-        for r in range(circuit.n_qubits)
-        for c in range(circuit.depth)
-        if circuit.grid[r][c].theta is not None
-    ]
+    cells = theta_cells(circuit)
     if not cells:
         return circuit
     r, c = cells[rng.integers(len(cells))]

@@ -8,13 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Role, validate
-from .errors import CircuitStructureError, ConfigurationError
+from .circuit import MAX_QUBITS, Circuit, Role, validate
+from .errors import ConfigurationError
 from .gates import GateKind, gate_matrix
-
-MAX_QUBITS = 20
-
-NORM_ATOL = 1e-9
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -31,30 +27,6 @@ def n_qubits_of(state: np.ndarray) -> int:
     if 2**n != len(state):
         raise ValueError(f"statevector length {len(state)} is not a power of two")
     return n
-
-
-def apply_gate(
-    state: np.ndarray,
-    kind: GateKind,
-    theta: float | None,
-    targets: tuple[int, ...],
-) -> np.ndarray:
-    """Apply `kind` on `targets` (control first for CX/CZ)."""
-    n = n_qubits_of(state)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate targets {targets}")
-    if any(not 0 <= q < n for q in targets):
-        raise ValueError(f"targets {targets} out of range for {n} qubits")
-    if len(targets) != kind.arity:
-        raise ValueError(f"{kind.value} needs {kind.arity} targets, got {len(targets)}")
-    matrix = gate_matrix(kind, theta)
-    k = len(targets)
-    psi = state.reshape([2] * n)
-    axes = [n - 1 - q for q in targets]
-    out = np.tensordot(
-        matrix.reshape([2] * (2 * k)), psi, axes=(list(range(k, 2 * k)), axes)
-    )
-    return np.moveaxis(out, range(k), axes).reshape(-1)
 
 
 def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
@@ -85,32 +57,56 @@ def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.n
     return psi.reshape(-1)
 
 
+def _apply(
+    state: np.ndarray,
+    kind: GateKind,
+    theta: float | None,
+    targets: tuple[int, ...],
+    n: int,
+) -> np.ndarray:
+    """The one gate kernel dispatch; `targets` lists the control first."""
+    if kind is GateKind.CX:
+        return _apply_cx_fast(state, targets[0], targets[1], n)
+    if kind is GateKind.CZ:
+        return _apply_cz_fast(state, targets[0], targets[1], n)
+    return _apply_1q_fast(state, gate_matrix(kind, theta), targets[0])
+
+
+def apply_gate(
+    state: np.ndarray,
+    kind: GateKind,
+    theta: float | None,
+    targets: tuple[int, ...],
+) -> np.ndarray:
+    """Apply `kind` on `targets` (control first for CX/CZ)."""
+    n = n_qubits_of(state)
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate targets {targets}")
+    if any(not 0 <= q < n for q in targets):
+        raise ValueError(f"targets {targets} out of range for {n} qubits")
+    if len(targets) != kind.arity:
+        raise ValueError(f"{kind.value} needs {kind.arity} targets, got {len(targets)}")
+    if kind.arity == 2 and theta is not None:
+        raise ValueError(f"{kind.value} takes no rotation angle")
+    return _apply(state, kind, theta, targets, n)
+
+
 def run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply a validated circuit to an arbitrary start state."""
     n = circuit.n_qubits
     for c in range(circuit.depth):
         for r in range(n):
             g = circuit.grid[r][c]
-            kind = g.kind
-            if kind is GateKind.ID:
+            if g.kind is GateKind.ID or g.role is Role.TARGET:
                 continue
-            if kind is GateKind.CX:
-                if g.role is Role.CONTROL:
-                    state = _apply_cx_fast(state, r, g.partner, n)
-            elif kind is GateKind.CZ:
-                if g.role is Role.CONTROL:
-                    state = _apply_cz_fast(state, r, g.partner, n)
-            else:
-                state = _apply_1q_fast(state, gate_matrix(kind, g.theta), r)
+            targets = (r,) if g.partner is None else (r, g.partner)
+            state = _apply(state, g.kind, g.theta, targets, n)
     return state
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
     """Run the circuit column by column from the zero state."""
-    try:
-        validate(circuit)
-    except CircuitStructureError:
-        raise
+    validate(circuit)
     return run_gates(zero_state(circuit.n_qubits), circuit)
 
 

@@ -181,6 +181,34 @@ class TestValidate:
         with pytest.raises(CircuitStructureError, match=r"\(0, 0\)"):
             validate(Circuit(2, grid))
 
+    @pytest.mark.parametrize(
+        "cell0, cell1, message",
+        [
+            (
+                Gate(GateKind.CX, Role.SINGLE, partner=1),
+                Gate(GateKind.CX, Role.TARGET, partner=0),
+                "cell (0, 0): two-qubit gate needs a control/target role",
+            ),
+            (
+                Gate(GateKind.CX, Role.CONTROL, partner=0),
+                ID,
+                "cell (0, 0): invalid partner row",
+            ),
+            (
+                Gate(GateKind.CX, Role.CONTROL, partner=1),
+                Gate(GateKind.CZ, Role.TARGET, partner=0),
+                "cell (0, 0): partner cell (1, 0) does not match",
+            ),
+        ],
+        ids=["bad_role", "bad_partner_row", "mismatched_partner"],
+    )
+    def test_broken_pair_named_and_repaired(self, cell0, cell1, message, rng):
+        broken = Circuit(2, ((cell0,), (cell1,)))
+        with pytest.raises(CircuitStructureError) as exc:
+            validate(broken)
+        assert str(exc.value) == message
+        validate(repair(broken, rng))
+
     def test_is_valid(self, rng):
         assert is_valid(random_circuit(2, 2, FULL_GATE_SET, rng))
         assert not is_valid(

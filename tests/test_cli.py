@@ -189,6 +189,37 @@ class TestMainEntry:
         cfg = write_config(tmp_path, "population_size = 1\n")
         assert main(["run", str(cfg)]) == 2
 
+    def test_fidelity_needs_fixed_width(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "max_qubits = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "min_qubits == n_qubits == max_qubits" in capsys.readouterr().err
+        assert not (out / "target0_rep0").exists()
+
+    def test_entanglement_needs_two_qubits(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "fitness = entanglement\nn_qubits = 2\nmin_qubits = 1\n"
+            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "min_qubits >= 2" in capsys.readouterr().err
+        assert not (out / "target0_rep0").exists()
+
+    def test_ml_needs_a_qubit_per_feature(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.2,0.3,0\n0.9,0.8,0.7,1\n")
+        cfg = write_config(
+            tmp_path,
+            f"fitness = ml\ndataset = {data}\nn_qubits = 3\nmin_qubits = 2\n"
+            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "min_qubits >= 3" in capsys.readouterr().err
+        assert not (out / "target0_rep0").exists()
+
     def test_eval_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMOKE_CONFIG)
         out = tmp_path / "out"

@@ -116,8 +116,8 @@ class TestMLFitness:
     def test_zero_steps_reproducible(self):
         ds = separable_dataset()
         c = rx_rz_circuit(0.3, -0.2)
-        a = ml_fitness(c, ds, train_steps=0, train_seed=7)
-        b = ml_fitness(c, ds, train_steps=0, train_seed=7)
+        a = ml_fitness(c, ds, train_steps=0)
+        b = ml_fitness(c, ds, train_steps=0)
         assert a == b
 
     def test_grid_search_oracle_admits_high_accuracy(self):

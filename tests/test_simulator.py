@@ -78,6 +78,15 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(zero_state(2), GateKind.X, None, (2,))
 
+    @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.CZ])
+    def test_angle_on_two_qubit_gate_rejected(self, kind):
+        with pytest.raises(ValueError, match="takes no rotation angle"):
+            apply_gate(zero_state(2), kind, 0.3, (0, 1))
+
+    def test_missing_angle_rejected(self):
+        with pytest.raises(ValueError, match="requires a rotation angle"):
+            apply_gate(zero_state(1), GateKind.RX, None, (0,))
+
     def test_matches_embedding_oracle(self, rng):
         for _ in range(50):
             state = rng.normal(size=8) + 1j * rng.normal(size=8)
