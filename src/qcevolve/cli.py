@@ -315,37 +315,18 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
 
 
 def _make_fitness(spec: ExperimentSpec, target: np.ndarray | None) -> FitnessFunction:
-    """Build the run's fitness; reject qubit bounds the fitness cannot score,
-    since mutate_qubit_count moves a circuit's width within them."""
-    cfg = spec.run_config.resolved()
     params = dict(spec.fitness_params or {})
     if spec.fitness_name == "fidelity":
-        if not cfg.min_qubits == cfg.n_qubits == cfg.max_qubits:
-            raise ConfigurationError(
-                "fidelity fitness needs min_qubits == n_qubits == max_qubits "
-                f"(the target width), got {cfg.min_qubits}, {cfg.n_qubits}, "
-                f"{cfg.max_qubits}"
-            )
         return FidelityFitness(
             target,
             depth_weight=params.pop("depth_weight", 0.0),
-            max_depth=cfg.max_depth,
-        )
-    if spec.fitness_name == "entanglement" and cfg.min_qubits < 2:
-        raise ConfigurationError(
-            f"entanglement fitness needs min_qubits >= 2, got {cfg.min_qubits}"
+            max_depth=spec.run_config.resolved().max_depth,
         )
     ctor = get_fitness_constructor(spec.fitness_name)
     if spec.fitness_name == "ml":
         if "dataset" not in params:
             raise ConfigurationError("ml fitness requires a 'dataset' key")
         params["dataset"] = load_dataset(params["dataset"])
-        n_features = params["dataset"].features.shape[1]
-        if cfg.min_qubits < n_features:
-            raise ConfigurationError(
-                f"ml fitness needs min_qubits >= {n_features} (the dataset's "
-                f"feature count), got {cfg.min_qubits}"
-            )
     return ctor(**params)
 
 

@@ -211,6 +211,7 @@ def evolve(
     """Run the genetic algorithm; returns the best-ever individual and the
     per-generation statistics trace (generations + 1 records)."""
     cfg = config.resolved()
+    fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
     ctx = cfg.mutation_context()
     evaluator = _Evaluator(fitness_fn)
 
@@ -258,6 +259,7 @@ def random_baseline(
     later generation draws children_per_generation.
     """
     cfg = config.resolved()
+    fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
     evaluator = _Evaluator(fitness_fn)
     best = -np.inf
     trace = []

@@ -33,6 +33,13 @@ class FitnessFunction:
     def evaluate(self, circuit: Circuit) -> float:
         raise NotImplementedError
 
+    def check_qubit_bounds(
+        self, min_qubits: int, n_qubits: int, max_qubits: int
+    ) -> None:
+        """Raise ConfigurationError unless every width in [min_qubits,
+        max_qubits] can be scored: mutate_qubit_count moves a circuit's
+        width within these bounds. The base class accepts any width."""
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -116,12 +123,31 @@ class FidelityFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         return fidelity_fitness(circuit, self.target, self.depth_weight, self.max_depth)
 
+    def check_qubit_bounds(
+        self, min_qubits: int, n_qubits: int, max_qubits: int
+    ) -> None:
+        width = n_qubits_of(self.target)
+        if not min_qubits == n_qubits == max_qubits == width:
+            raise ConfigurationError(
+                "fidelity fitness needs min_qubits == n_qubits == max_qubits "
+                f"== {width} (the target width), got {min_qubits}, {n_qubits}, "
+                f"{max_qubits}"
+            )
+
 
 class EntanglementFitness(FitnessFunction):
     name = "entanglement"
 
     def evaluate(self, circuit: Circuit) -> float:
         return entanglement_fitness(circuit)
+
+    def check_qubit_bounds(
+        self, min_qubits: int, n_qubits: int, max_qubits: int
+    ) -> None:
+        if min_qubits < 2:
+            raise ConfigurationError(
+                f"entanglement fitness needs min_qubits >= 2, got {min_qubits}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +178,12 @@ def _run_from(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return run_gates(state, circuit)
 
 
-def _z0_expectation(state: np.ndarray) -> float:
-    probs = np.abs(state) ** 2
-    signs = 1.0 - 2.0 * (np.arange(len(state)) & 1)
-    return float(np.dot(probs, signs))
-
-
-def _predictions(circuit: Circuit, dataset: Dataset) -> np.ndarray:
-    """<Z_0> of the final state per sample; label 0 iff the value is >= 0."""
-    return np.array(
-        [
-            _z0_expectation(_run_from(_encode_features(circuit.n_qubits, x), circuit))
-            for x in dataset.features
-        ]
-    )
+def _predictions(circuit: Circuit, encoded: np.ndarray) -> np.ndarray:
+    """<Z_0> of the final state per encoded sample; label 0 iff it is >= 0."""
+    probs = np.abs(_run_from(encoded, circuit)) ** 2
+    signs = 1.0 - 2.0 * (np.arange(probs.shape[1]) & 1)
+    # one dot per row: a single matrix product may sum in another order
+    return np.array([np.dot(row, signs) for row in probs])
 
 
 def _accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -206,14 +224,18 @@ def ml_fitness_trained(
         raise ConfigurationError(
             f"{dataset.features.shape[1]} features exceed {circuit.n_qubits} qubits"
         )
+    # (n_samples, 2**n) stack; the encoding does not depend on the angles
+    encoded = np.array(
+        [_encode_features(circuit.n_qubits, x) for x in dataset.features]
+    )
     cells = theta_cells(circuit)
     if not cells or train_steps == 0:
-        return _accuracy(_predictions(circuit, dataset), dataset.labels), circuit
+        return _accuracy(_predictions(circuit, encoded), dataset.labels), circuit
     thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
 
     def loss(vec: np.ndarray) -> float:
         trial = _with_thetas(circuit, cells, vec)
-        return _mse_loss(_predictions(trial, dataset), dataset.labels)
+        return _mse_loss(_predictions(trial, encoded), dataset.labels)
 
     for _ in range(train_steps):
         grad = np.empty_like(thetas)
@@ -225,7 +247,7 @@ def ml_fitness_trained(
             grad[i] = (loss(up) - loss(down)) / (2 * fd_step)
         thetas = thetas - learning_rate * grad
     trained = _with_thetas(circuit, cells, thetas)
-    return _accuracy(_predictions(trained, dataset), dataset.labels), trained
+    return _accuracy(_predictions(trained, encoded), dataset.labels), trained
 
 
 class MLFitness(FitnessFunction):
@@ -245,6 +267,16 @@ class MLFitness(FitnessFunction):
 
     def evaluate(self, circuit: Circuit) -> float:
         return self.evaluate_trained(circuit)[0]
+
+    def check_qubit_bounds(
+        self, min_qubits: int, n_qubits: int, max_qubits: int
+    ) -> None:
+        n_features = self.dataset.features.shape[1]
+        if min_qubits < n_features:
+            raise ConfigurationError(
+                f"ml fitness needs min_qubits >= {n_features} (the dataset's "
+                f"feature count), got {min_qubits}"
+            )
 
     def evaluate_trained(self, circuit: Circuit) -> tuple[float, Circuit]:
         return ml_fitness_trained(

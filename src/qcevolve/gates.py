@@ -28,17 +28,11 @@ class GateKind(enum.Enum):
     CX = "cx"
     CZ = "cz"
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
-
-    @property
-    def parameterized(self) -> bool:
-        return _PARAMETERIZED[self]
-
-
-_ARITY = {k: (2 if k.value in ("cx", "cz") else 1) for k in GateKind}
-_PARAMETERIZED = {k: k.value in ("rx", "ry", "rz") for k in GateKind}
+    def __init__(self, value: str):
+        # plain attributes: a dict keyed by the member would run the
+        # Python-level Enum.__hash__ on every read in the hot loops
+        self.arity: int = 2 if value in ("cx", "cz") else 1
+        self.parameterized: bool = value in ("rx", "ry", "rz")
 
 
 FULL_GATE_SET = frozenset(GateKind)

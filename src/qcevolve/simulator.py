@@ -29,32 +29,37 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
+# The kernels take one state (2**n,) or a C-contiguous stack (batch, 2**n)
+# and return the same shape; each row is updated exactly as it would be alone.
+
+
 def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    # little-endian: qubit q splits the flat index as (high, bit q, low)
+    # little-endian: qubit q splits the flat index as (high, bit q, low);
+    # a batch axis folds into "high"
     m = state.reshape(-1, 2, 1 << q)
-    return np.matmul(matrix, m).reshape(-1)
+    return np.matmul(matrix, m).reshape(state.shape)
 
 
 def _apply_cx_fast(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
+    psi = state.reshape(state.shape[:-1] + (2,) * n)
     i10 = [slice(None)] * n
     i10[n - 1 - control] = 1
     i11 = list(i10)
     i10[n - 1 - target] = 0
     i11[n - 1 - target] = 1
     new = psi.copy()
-    new[tuple(i10)] = psi[tuple(i11)]
-    new[tuple(i11)] = psi[tuple(i10)]
-    return new.reshape(-1)
+    new[(Ellipsis, *i10)] = psi[(Ellipsis, *i11)]
+    new[(Ellipsis, *i11)] = psi[(Ellipsis, *i10)]
+    return new.reshape(state.shape)
 
 
 def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
+    psi = state.reshape(state.shape[:-1] + (2,) * n).copy()
     i11 = [slice(None)] * n
     i11[n - 1 - control] = 1
     i11[n - 1 - target] = 1
-    psi[tuple(i11)] *= -1
-    return psi.reshape(-1)
+    psi[(Ellipsis, *i11)] *= -1
+    return psi.reshape(state.shape)
 
 
 def _apply(
@@ -92,7 +97,8 @@ def apply_gate(
 
 
 def run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply a validated circuit to an arbitrary start state."""
+    """Apply a validated circuit to an arbitrary start state, or to each row
+    of a C-contiguous (batch, 2**n) stack of them; returns the same shape."""
     n = circuit.n_qubits
     for c in range(circuit.depth):
         for r in range(n):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import bell_circuit
 
-from qcevolve.circuit import validate
+from qcevolve.circuit import random_circuit, validate
 from qcevolve.engine import (
     GenerationRecord,
     RunConfig,
@@ -12,7 +12,14 @@ from qcevolve.engine import (
     random_baseline,
 )
 from qcevolve.errors import ConfigurationError
-from qcevolve.fitness import EntanglementFitness, FidelityFitness, FitnessFunction
+from qcevolve.fitness import (
+    Dataset,
+    EntanglementFitness,
+    FidelityFitness,
+    FitnessFunction,
+    MLFitness,
+)
+from qcevolve.gates import FULL_GATE_SET
 from qcevolve.simulator import simulate
 
 
@@ -160,6 +167,47 @@ class TestEvolve:
         best, trace = evolve(cfg, EntanglementFitness(), np.random.default_rng(9))
         assert len(trace) == 3
         validate(best.circuit)
+
+
+class TestQubitBounds:
+    """Bounds the fitness cannot score are rejected before any circuit is
+    drawn, not when mutate_qubit_count first leaves the scorable widths."""
+
+    class CountingFidelity(FidelityFitness):
+        calls = 0
+
+        def evaluate(self, circuit):
+            self.calls += 1
+            return super().evaluate(circuit)
+
+    @pytest.mark.parametrize("search", [evolve, random_baseline])
+    def test_fidelity_width_beyond_target_rejected(self, search):
+        target = simulate(random_circuit(3, 4, FULL_GATE_SET, np.random.default_rng(0)))
+        fn = self.CountingFidelity(target)
+        cfg = RunConfig(
+            n_qubits=3, depth=5, max_qubits=4, mutation_prob=1.0,
+            population_size=10, generations=30,
+        )
+        match = "min_qubits == n_qubits == max_qubits"
+        with pytest.raises(ConfigurationError, match=match):
+            search(cfg, fn, np.random.default_rng(1))
+        assert fn.calls == 0
+
+    def test_fidelity_target_width_mismatch_rejected(self):
+        fn = FidelityFitness(simulate(bell_circuit()))
+        with pytest.raises(ConfigurationError, match="target width"):
+            evolve(small_config(n_qubits=3), fn, np.random.default_rng(0))
+
+    def test_entanglement_needs_two_qubits(self):
+        cfg = small_config(min_qubits=1)
+        with pytest.raises(ConfigurationError, match="min_qubits >= 2"):
+            evolve(cfg, EntanglementFitness(), np.random.default_rng(0))
+
+    def test_ml_needs_a_qubit_per_feature(self):
+        ds = Dataset(np.zeros((2, 3)), np.array([0, 1]))
+        cfg = small_config(n_qubits=3, min_qubits=2)
+        with pytest.raises(ConfigurationError, match="min_qubits >= 3"):
+            random_baseline(cfg, MLFitness(ds), np.random.default_rng(0))
 
 
 class TestRandomBaseline:

@@ -10,6 +10,8 @@ from qcevolve.fitness import (
     EntanglementFitness,
     FidelityFitness,
     MLFitness,
+    _encode_features,
+    _predictions,
     entanglement_fitness,
     fidelity_fitness,
     get_fitness_constructor,
@@ -20,7 +22,7 @@ from qcevolve.fitness import (
     registered_names,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
-from qcevolve.simulator import simulate
+from qcevolve.simulator import run_gates, simulate
 
 ID = Gate(GateKind.ID)
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -150,6 +152,19 @@ class TestMLFitness:
         c = random_circuit(2, 3, FULL_GATE_SET, rng)
         f = ml_fitness(c, ds, train_steps=0)
         assert 0.0 <= f <= 1.0
+
+    def test_batched_predictions_match_per_sample_loop(self, rng):
+        ds = separable_dataset()
+        for n in (2, 3, 4):
+            for _ in range(10):
+                c = random_circuit(n, 5, FULL_GATE_SET, rng)
+                encoded = np.array([_encode_features(n, x) for x in ds.features])
+                signs = 1.0 - 2.0 * (np.arange(2**n) & 1)
+                expected = [
+                    np.dot(np.abs(run_gates(_encode_features(n, x), c)) ** 2, signs)
+                    for x in ds.features
+                ]
+                assert np.array_equal(_predictions(c, encoded), np.array(expected))
 
 
 class TestDataset:

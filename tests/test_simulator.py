@@ -4,13 +4,14 @@ import pytest
 from conftest import bell_circuit
 from oracles import embed_unitary, partial_trace_oracle, simulate_oracle
 
-from qcevolve.circuit import Circuit, Gate, random_circuit
+from qcevolve.circuit import Circuit, Gate, Role, random_circuit
 from qcevolve.errors import ConfigurationError
 from qcevolve.gates import FULL_GATE_SET, GateKind, gate_matrix
 from qcevolve.simulator import (
     apply_gate,
     fidelity,
     partial_trace,
+    run_gates,
     simulate,
     von_neumann_entropy,
     zero_state,
@@ -127,6 +128,37 @@ class TestSimulate:
             depth = int(rng.integers(1, 11))
             c = random_circuit(n, depth, FULL_GATE_SET, rng)
             assert np.abs(simulate(c) - simulate_oracle(c)).max() < 1e-9
+
+
+class TestRunGatesBatch:
+    def test_stack_equals_per_row_runs(self, rng):
+        seen = set()  # (kind, where) of every placed gate
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            c = random_circuit(n, 6, FULL_GATE_SET, rng)
+            for r, row in enumerate(c.grid):
+                for g in row:
+                    if g.kind.arity == 1:
+                        where = "q0" if r == 0 else "last" if r == n - 1 else ""
+                        seen.add((g.kind, where))
+                    elif g.role is Role.CONTROL:
+                        seen.add((g.kind, "up" if g.partner > r else "down"))
+            stack = rng.normal(size=(5, 2**n)) + 1j * rng.normal(size=(5, 2**n))
+            batched = run_gates(stack, c)
+            assert batched.shape == stack.shape
+            rows = np.array([run_gates(row.copy(), c) for row in stack])
+            assert np.array_equal(batched, rows)
+        one_qubit = [k for k in GateKind if k.arity == 1 and k is not GateKind.ID]
+        assert {(k, "q0") for k in one_qubit} <= seen
+        assert {(k, "last") for k in one_qubit} <= seen
+        two_qubit = (GateKind.CX, GateKind.CZ)
+        assert {(k, d) for k in two_qubit for d in ("up", "down")} <= seen
+
+    def test_single_state_keeps_shape(self, rng):
+        c = random_circuit(3, 4, FULL_GATE_SET, rng)
+        out = run_gates(zero_state(3), c)
+        assert out.shape == (8,)
+        assert np.array_equal(out, simulate(c))
 
 
 class TestFidelity:
