@@ -28,6 +28,8 @@ class Role(enum.Enum):
     CONTROL = "control"
     TARGET = "target"
 
+    __hash__ = object.__hash__  # as GateKind: members are singletons
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -44,10 +46,25 @@ IDENTITY = Gate(GateKind.ID)
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable n_qubits x depth grid of gate cells."""
+    """An immutable n_qubits x depth grid of gate cells.
+
+    The hash is computed once and kept on the instance; it is not pickled,
+    since gate-kind and role hashes differ between processes."""
 
     n_qubits: int
     grid: tuple[tuple[Gate, ...], ...]  # grid[row][col]
+
+    _hash = None  # not a field: no annotation
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.n_qubits, self.grid))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Circuit, (self.n_qubits, self.grid)
 
     @property
     def depth(self) -> int:

@@ -3,6 +3,7 @@ and artifact output (CSV traces, circuit documents, QASM, SVG plot)."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -96,16 +97,20 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _read_input(path: str | Path) -> str:
+    """Text of an input file; an unreadable file is a configuration error."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+
+
 def parse_config(path: str | Path) -> ExperimentSpec:
     """Parse a `key = value` property file into an ExperimentSpec."""
     run_kwargs: dict = {}
     fitness_kwargs: dict = {}
     exp_kwargs: dict = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,7 +166,7 @@ def write_statevector(state: np.ndarray, path: Path) -> None:
 
 def read_statevector(path: str | Path) -> np.ndarray:
     amps = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_input(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -316,18 +321,20 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
 
 def _make_fitness(spec: ExperimentSpec, target: np.ndarray | None) -> FitnessFunction:
     params = dict(spec.fitness_params or {})
+    args: tuple = ()
     if spec.fitness_name == "fidelity":
-        return FidelityFitness(
-            target,
-            depth_weight=params.pop("depth_weight", 0.0),
-            max_depth=spec.run_config.resolved().max_depth,
-        )
-    ctor = get_fitness_constructor(spec.fitness_name)
+        ctor, args = FidelityFitness, (target,)
+        params["max_depth"] = spec.run_config.resolved().max_depth
+    else:
+        ctor = get_fitness_constructor(spec.fitness_name)
+    try:
+        # names a key the constructor does not take, or one it needs
+        inspect.signature(ctor).bind(*args, **params)
+    except TypeError as exc:
+        raise ConfigurationError(f"fitness '{spec.fitness_name}': {exc}") from None
     if spec.fitness_name == "ml":
-        if "dataset" not in params:
-            raise ConfigurationError("ml fitness requires a 'dataset' key")
         params["dataset"] = load_dataset(params["dataset"])
-    return ctor(**params)
+    return ctor(*args, **params)
 
 
 def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
@@ -389,8 +396,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    circ = deserialize(Path(args.circuit).read_text())
+    circ = deserialize(_read_input(args.circuit))
     target = read_statevector(args.target)
+    if len(target) != 2**circ.n_qubits:
+        raise ConfigurationError(
+            f"target has {len(target)} amplitudes, the {circ.n_qubits}-qubit "
+            f"circuit needs {2 ** circ.n_qubits}"
+        )
     score = fidelity(simulate(circ), target)
     print(f"fidelity = {score:.12f}")
     return 0

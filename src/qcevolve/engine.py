@@ -159,17 +159,38 @@ def _crossover(
 
 
 class _Evaluator:
-    """Scores circuits; a Lamarckian fitness also returns the trained circuit."""
+    """Scores circuits; a Lamarckian fitness also returns the trained circuit.
+
+    `evaluate` goes through a memo keyed by the circuit passed to the
+    fitness (for a Lamarckian fitness, the untrained one), so a circuit the
+    memo holds is not scored again. `keep_only` bounds it to the entries of
+    the current population; between two calls it also holds that
+    generation's children, so at most population_size +
+    children_per_generation entries.
+    """
 
     def __init__(self, fitness_fn: FitnessFunction):
         self.fitness_fn = fitness_fn
         self.lamarckian = isinstance(fitness_fn, MLFitness) and fitness_fn.lamarckian
+        self.memo: dict[Circuit, Individual] = {}
 
-    def evaluate(self, circuit: Circuit) -> Individual:
+    def score(self, circuit: Circuit) -> Individual:
+        """Run the fitness on `circuit`, bypassing the memo."""
         if self.lamarckian:
             score, trained = self.fitness_fn.evaluate_trained(circuit)
             return Individual(trained, score)
         return Individual(circuit, self.fitness_fn.evaluate(circuit))
+
+    def evaluate(self, circuit: Circuit) -> Individual:
+        ind = self.memo.get(circuit)
+        if ind is None:
+            ind = self.memo[circuit] = self.score(circuit)
+        return ind
+
+    def keep_only(self, members: list[Individual]) -> None:
+        """Drop every memo entry whose Individual is not in `members`."""
+        alive = {id(ind) for ind in members}
+        self.memo = {c: ind for c, ind in self.memo.items() if id(ind) in alive}
 
 
 def _sorted_by_fitness(members: list[Individual]) -> list[Individual]:
@@ -240,6 +261,7 @@ def evolve(
                     )
                 children.append(evaluator.evaluate(child))
         members = _survivors(pop.members, children, cfg, rng)
+        evaluator.keep_only(members)
         pop = Population(members)
         gen_best = max(members, key=lambda ind: ind.fitness)
         if gen_best.fitness > best_ever.fitness:
@@ -256,7 +278,8 @@ def random_baseline(
     """Best-so-far fitness of pure random sampling on the GA's budget.
 
     Generation 0 draws population_size circuits (matching GA init), every
-    later generation draws children_per_generation.
+    later generation draws children_per_generation. Every draw is scored:
+    there is no memo, and the budget counts draws.
     """
     cfg = config.resolved()
     fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
@@ -266,7 +289,7 @@ def random_baseline(
     for gen in range(cfg.generations + 1):
         budget = cfg.population_size if gen == 0 else cfg.children_per_generation
         for _ in range(budget):
-            ind = evaluator.evaluate(
+            ind = evaluator.score(
                 random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
             )
             if ind.fitness > best:

@@ -26,7 +26,12 @@ from .gates import GateKind
 
 
 class FitnessFunction:
-    """Base class: a deterministic Circuit -> float evaluator."""
+    """Base class: a Circuit -> float evaluator.
+
+    It must be deterministic: `evolve` scores each distinct circuit once
+    while it is in the population or among the current generation's
+    children, and reuses that score for every equal circuit.
+    """
 
     name = "abstract"
 
@@ -57,21 +62,25 @@ class Dataset:
 
 def load_dataset(path: str) -> Dataset:
     """CSV: one sample per line, features then a 0/1 label; optional header."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if line_no == 1:
-                    continue  # header line
-                raise ConfigurationError(
-                    f"{path}:{line_no}: not a numeric sample"
-                ) from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            if line_no == 1:
+                continue  # header line
+            raise ConfigurationError(
+                f"{path}:{line_no}: not a numeric sample"
+            ) from None
     if not rows:
         raise ConfigurationError(f"{path}: no samples")
     data = np.array(rows)

@@ -29,10 +29,14 @@ class GateKind(enum.Enum):
     CZ = "cz"
 
     def __init__(self, value: str):
-        # plain attributes: a dict keyed by the member would run the
-        # Python-level Enum.__hash__ on every read in the hot loops
+        # plain attributes: a dict keyed by the member would hash it on
+        # every read in the hot loops
         self.arity: int = 2 if value in ("cx", "cz") else 1
         self.parameterized: bool = value in ("rx", "ry", "rz")
+
+    # members are singletons: identity hashing runs in C, where
+    # Enum.__hash__ is a Python call on every Gate and Circuit hash
+    __hash__ = object.__hash__
 
 
 FULL_GATE_SET = frozenset(GateKind)

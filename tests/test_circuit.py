@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,7 @@ from qcevolve.circuit import (
     Circuit,
     Gate,
     Role,
+    _pair_problem,
     deserialize,
     export_qasm,
     from_columns,
@@ -214,6 +221,68 @@ class TestValidate:
         assert not is_valid(
             Circuit(1, ((Gate(GateKind.RX, theta=None),),))
         )
+
+
+class TestHashing:
+    """Gate kinds and roles hash by identity; a circuit hashes once."""
+
+    def test_enum_members_as_keys_and_set_members(self):
+        kinds = {kind: kind.value for kind in GateKind}
+        assert len(kinds) == len(GateKind)
+        assert all(kinds[GateKind(v)] == v for v in kinds.values())
+        assert set(GateKind) == set(FULL_GATE_SET)
+        assert GateKind("cx") in RESTRICTED_GATE_SET
+        assert GateKind.H not in RESTRICTED_GATE_SET
+        roles = {Role.CONTROL, Role.TARGET, Role("control")}
+        assert roles == {Role.TARGET, Role.CONTROL}
+        assert {Role.SINGLE: 1}[Role("single")] == 1
+
+    @pytest.mark.parametrize("role", [Role.CONTROL, Role.TARGET])
+    def test_pair_with_equal_roles_rejected(self, role):
+        columns = [
+            (
+                Gate(GateKind.CX, role, partner=1),
+                Gate(GateKind.CX, role, partner=0),
+            )
+        ]
+        assert _pair_problem(columns, 0, 0) == "partner cell (1, 0) does not match"
+        assert _pair_problem(columns, 1, 0) == "partner cell (0, 0) does not match"
+        assert not is_valid(from_columns(2, columns))
+
+    def test_pickled_circuit_equals_fresh_one(self, rng):
+        c = random_circuit(3, 6, FULL_GATE_SET, rng)
+        memo = {c: "scored"}
+        restored = pickle.loads(pickle.dumps(c))
+        fresh = Circuit(c.n_qubits, tuple(tuple(row) for row in c.grid))
+        assert restored == fresh == c
+        assert hash(restored) == hash(fresh) == hash(c)
+        assert memo[restored] == "scored"
+        assert memo[fresh] == "scored"
+
+    def test_cached_hash_not_pickled(self, rng):
+        c = random_circuit(2, 4, FULL_GATE_SET, rng)
+        hash(c)
+        assert "_hash" not in pickle.loads(pickle.dumps(c)).__dict__
+
+    def test_circuit_hashed_in_another_process_found_in_memo(self):
+        # identity hashes of gate kinds and roles differ between processes
+        script = (
+            "import pickle, sys\n"
+            "import numpy as np\n"
+            "from qcevolve.circuit import random_circuit\n"
+            "from qcevolve.gates import FULL_GATE_SET\n"
+            "c = random_circuit(3, 5, FULL_GATE_SET, np.random.default_rng(4))\n"
+            "hash(c)\n"
+            "sys.stdout.buffer.write(pickle.dumps(c))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "random"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        c = random_circuit(3, 5, FULL_GATE_SET, np.random.default_rng(4))
+        memo = {c: "scored"}
+        assert memo[pickle.loads(out)] == "scored"
 
 
 # frozen statevector of random_circuit(4, 20, restricted set, seed 10),

@@ -235,3 +235,57 @@ class TestMainEntry:
         )
         assert code == 0
         assert "fidelity =" in capsys.readouterr().out
+
+
+class TestUnreadableInputs:
+    """Bad input files are configuration errors: `error: ...`, exit code 2."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        return err
+
+    def test_missing_dataset(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            f"fitness = ml\ndataset = {tmp_path / 'no_such.csv'}\nn_qubits = 2\n"
+            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+        )
+        err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert "no_such.csv" in err
+
+    def test_missing_target_file(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            f"fitness = fidelity\nn_qubits = 2\ndepth = 2\npopulation_size = 4\n"
+            f"generations = 1\ntarget_file = {tmp_path / 'no_such.txt'}\n",
+        )
+        err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert "no_such.txt" in err
+
+    def test_eval_missing_circuit(self, tmp_path, capsys):
+        target = tmp_path / "target.txt"
+        write_statevector(np.array([1, 0, 0, 0], dtype=complex), target)
+        missing = str(tmp_path / "no_such.json")
+        err = self.run_error(capsys, ["eval", missing, "--target", str(target)])
+        assert "no_such.json" in err
+
+    def test_eval_target_width_mismatch(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMOKE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+        target = tmp_path / "three_qubits.txt"
+        write_statevector(np.eye(8, dtype=complex)[0], target)
+        circuit = str(out / "target0_rep0" / "best_circuit.json")
+        err = self.run_error(capsys, ["eval", circuit, "--target", str(target)])
+        assert "8 amplitudes" in err
+
+    def test_key_the_fitness_does_not_take(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "fitness = entanglement\ndepth_weight = 0.1\nn_qubits = 2\n"
+            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+        )
+        err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert "'depth_weight'" in err

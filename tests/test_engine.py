@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import bell_circuit
 
-from qcevolve.circuit import random_circuit, validate
+from qcevolve import engine
+from qcevolve.circuit import Circuit, Gate, random_circuit, serialize, validate
 from qcevolve.engine import (
     GenerationRecord,
     RunConfig,
@@ -19,7 +22,7 @@ from qcevolve.fitness import (
     FitnessFunction,
     MLFitness,
 )
-from qcevolve.gates import FULL_GATE_SET
+from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.simulator import simulate
 
 
@@ -108,19 +111,29 @@ class TestEvolve:
             for i in range(len(trace) - 1)
         )
 
-    def test_population_size_and_validity(self):
-        calls = []
+    def test_population_size_and_validity(self, monkeypatch):
+        scored = []
 
         class Spy(FitnessFunction):
             def evaluate(self, circuit):
                 validate(circuit)
-                calls.append(circuit)
+                scored.append(circuit)
                 return 0.5
 
+        requests = []  # (circuit, whether the memo held it)
+        request = engine._Evaluator.evaluate
+
+        def recording(self, circuit):
+            requests.append((circuit, circuit in self.memo))
+            return request(self, circuit)
+
+        monkeypatch.setattr(engine._Evaluator, "evaluate", recording)
         cfg = small_config(generations=3)
         evolve(cfg, Spy(), np.random.default_rng(0))
-        # per-generation counts: pop_size init, then children each generation
-        assert len(calls) == 10 + 3 * 9
+        # per-generation requests: pop_size init, then children each generation
+        assert len(requests) == 10 + 3 * 9
+        # the fitness runs once for each requested circuit the memo lacks
+        assert scored == [c for c, held in requests if not held]
 
     def test_best_at_least_mean(self):
         cfg = small_config()
@@ -230,3 +243,156 @@ class TestRandomBaseline:
         t1 = random_baseline(cfg, EntanglementFitness(), np.random.default_rng(5))
         t2 = random_baseline(cfg, EntanglementFitness(), np.random.default_rng(5))
         assert t1 == t2
+
+
+class TestFitnessMemo:
+    """evolve scores a circuit once while it is in the population or among
+    the current generation's children; the memo holds nothing else."""
+
+    def record(self, monkeypatch):
+        """Wrap the memo's request and pruning points. Returns a list the
+        pruning point appends ("population", survivors, memo after pruning)
+        to, and a one-item list holding the largest memo size seen."""
+        events, sizes = [], [0]
+        request, keep_only = engine._Evaluator.evaluate, engine._Evaluator.keep_only
+
+        def evaluate(self, circuit):
+            ind = request(self, circuit)
+            sizes[0] = max(sizes[0], len(self.memo))
+            return ind
+
+        def prune(self, members):
+            keep_only(self, members)
+            events.append(("population", members, dict(self.memo)))
+
+        monkeypatch.setattr(engine._Evaluator, "evaluate", evaluate)
+        monkeypatch.setattr(engine._Evaluator, "keep_only", prune)
+        return events, sizes
+
+    @pytest.mark.parametrize("survivor", ["truncation", "tournament"])
+    def test_population_and_generation_circuits_not_rescored(
+        self, survivor, monkeypatch
+    ):
+        events, sizes = self.record(monkeypatch)
+
+        class Spy(EntanglementFitness):
+            def evaluate(self, circuit):
+                events.append(("scored", circuit))
+                return super().evaluate(circuit)
+
+        cfg = small_config(
+            generations=8, crossover_prob=0.3, mutation_prob=0.3,
+            survivor_selection=survivor, children_per_generation=6,
+        )
+        evolve(cfg, Spy(), np.random.default_rng(2))
+        held: set[Circuit] = set()  # population + this generation's scored
+        n_scored = 0
+        for kind, *rest in events:
+            if kind == "scored":
+                assert rest[0] not in held
+                held.add(rest[0])
+                n_scored += 1
+            else:
+                held = {ind.circuit for ind in rest[0]}
+        assert n_scored < 10 + 8 * 6  # duplicates were requested and skipped
+        assert sizes[0] <= 10 + 6
+
+    @pytest.mark.parametrize("survivor", ["truncation", "roulette"])
+    def test_only_survivors_entries_remain(self, survivor, monkeypatch):
+        events, _ = self.record(monkeypatch)
+        cfg = small_config(generations=6, survivor_selection=survivor)
+        evolve(cfg, EntanglementFitness(), np.random.default_rng(5))
+        assert len(events) == 6
+        for _, members, memo in events:
+            assert {id(ind) for ind in memo.values()} == {id(ind) for ind in members}
+            assert all(ind.circuit == c for c, ind in memo.items())
+
+    def test_lamarckian_trained_circuit_is_trained_again(self):
+        ry = Gate(GateKind.RY, theta=0.3)
+        ident = Gate(GateKind.ID)
+        untrained = Circuit(2, ((ry, ident), (ident, ident)))
+        ds = Dataset(np.array([[0.1, 0.2], [0.9, 0.7]]), np.array([0, 1]))
+        inputs = []
+
+        class Spy(MLFitness):
+            def evaluate_trained(self, circuit):
+                inputs.append(circuit)
+                return super().evaluate_trained(circuit)
+
+        evaluator = engine._Evaluator(Spy(ds, train_steps=3))
+        first = evaluator.evaluate(untrained)
+        assert first.circuit != untrained
+        # an input equal to a trained circuit is a new input: trained again
+        second = evaluator.evaluate(first.circuit)
+        assert second is not first
+        assert inputs == [untrained, first.circuit]
+        # an input equal to one already scored reuses its result
+        assert evaluator.evaluate(Circuit(2, untrained.grid)) is first
+        assert len(inputs) == 2
+
+    def test_baseline_scores_every_draw(self, monkeypatch):
+        monkeypatch.setattr(
+            engine, "random_circuit", lambda *args: bell_circuit()
+        )
+        fn = CountingFitness(EntanglementFitness())
+        trace = random_baseline(small_config(generations=3), fn, np.random.default_rng(0))
+        assert fn.calls == 10 + 3 * 9
+        assert trace == [1.0] * 4
+
+    # best fitness, sha256 prefix of the serialized best circuit, and the
+    # (best, mean) trace, recorded before evolve had a memo
+    FIDELITY_RUN = (
+        0.319794654831933,
+        "1eff0b73e70e5c99",
+        [
+            (0.2615400001889874, 0.10391064094497907),
+            (0.2679172658159694, 0.16484150503010017),
+            (0.27041579194075566, 0.20833639010884783),
+            (0.3176057925235618, 0.2527099224752134),
+            (0.319794654831933, 0.27050951969620096),
+            (0.319794654831933, 0.2852122920342685),
+            (0.319794654831933, 0.30738745907549025),
+        ],
+    )
+    ML_RUN = (
+        0.6666666666666666,
+        "392495e68261d2b4",
+        [
+            (0.5, 0.4166666666666667),
+            (0.5, 0.5),
+            (0.6666666666666666, 0.5277777777777778),
+            (0.6666666666666666, 0.5833333333333334),
+            (0.6666666666666666, 0.6666666666666666),
+        ],
+    )
+
+    def test_scaled_fidelity_run_scores_under_a_third(self, monkeypatch):
+        _, sizes = self.record(monkeypatch)
+        target = simulate(random_circuit(4, 20, FULL_GATE_SET, np.random.default_rng(100)))
+        fn = TestQubitBounds.CountingFidelity(target)
+        cfg = RunConfig(population_size=100, generations=300, n_qubits=4, depth=20)
+        best, _ = evolve(cfg, fn, np.random.default_rng(1000))
+        requested = 100 + 300 * 99
+        assert fn.calls <= requested / 3
+        assert best.fitness == 0.7396658530313495  # as before the memo
+        assert sizes[0] <= 100 + 99
+
+    @staticmethod
+    def summary(best, trace):
+        digest = hashlib.sha256(serialize(best.circuit).encode()).hexdigest()[:16]
+        return best.fitness, digest, [(r.best_fitness, r.mean_fitness) for r in trace]
+
+    def test_fidelity_run_matches_recorded(self):
+        target = simulate(random_circuit(3, 4, FULL_GATE_SET, np.random.default_rng(5)))
+        cfg = RunConfig(population_size=10, generations=6, n_qubits=3, depth=4)
+        run = evolve(cfg, FidelityFitness(target), np.random.default_rng(7))
+        assert self.summary(*run) == self.FIDELITY_RUN
+
+    def test_lamarckian_ml_run_matches_recorded(self):
+        ds = Dataset(
+            np.array([[0.1, 0.1], [0.9, 0.9], [0.1, 0.9], [0.9, 0.1], [0.5, 0.2], [0.3, 0.7]]),
+            np.array([0, 0, 1, 1, 0, 1]),
+        )
+        cfg = RunConfig(population_size=6, generations=4, n_qubits=2, depth=3)
+        run = evolve(cfg, MLFitness(ds, train_steps=1), np.random.default_rng(3))
+        assert self.summary(*run) == self.ML_RUN
