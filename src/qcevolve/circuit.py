@@ -11,6 +11,7 @@ import enum
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from math import pi
 
 import numpy as np
@@ -41,7 +42,17 @@ class Gate:
     partner: int | None = None
 
 
-IDENTITY = Gate(GateKind.ID)
+@cache
+def shared_cell(
+    kind: GateKind, role: Role = Role.SINGLE, partner: int | None = None
+) -> Gate:
+    """A shared Gate for a cell without an angle: cells are immutable, so
+    circuits need not build their own. The cache holds one entry per kind,
+    role and partner row."""
+    return Gate(kind, role, partner=partner)
+
+
+IDENTITY = shared_cell(GateKind.ID)
 
 
 @dataclass(frozen=True)
@@ -78,10 +89,7 @@ class Circuit:
 
 
 def from_columns(n_qubits: int, columns: list[tuple[Gate, ...]]) -> Circuit:
-    grid = tuple(
-        tuple(columns[c][r] for c in range(len(columns))) for r in range(n_qubits)
-    )
-    return Circuit(n_qubits, grid)
+    return Circuit(n_qubits, tuple(zip(*columns)))
 
 
 def _pair_problem(
@@ -117,23 +125,22 @@ def validate(circuit: Circuit) -> None:
     if any(len(row) != m for row in circuit.grid):
         raise CircuitStructureError("ragged grid")
     columns = tuple(zip(*circuit.grid))
-    for r in range(n):
-        for c in range(m):
-            g = circuit.grid[r][c]
-            where = f"cell ({r}, {c})"
-            if g.kind.parameterized != (g.theta is not None):
+    for r, row in enumerate(circuit.grid):
+        for c, g in enumerate(row):
+            kind = g.kind
+            if kind.parameterized != (g.theta is not None):
                 raise CircuitStructureError(
-                    f"{where}: theta must be present iff gate is parameterized"
+                    f"cell ({r}, {c}): theta must be present iff gate is parameterized"
                 )
-            if g.kind.arity == 1:
+            if kind.arity == 1:
                 if g.role is not Role.SINGLE or g.partner is not None:
                     raise CircuitStructureError(
-                        f"{where}: one-qubit gate with two-qubit metadata"
+                        f"cell ({r}, {c}): one-qubit gate with two-qubit metadata"
                     )
             else:
                 problem = _pair_problem(columns, r, c)
                 if problem is not None:
-                    raise CircuitStructureError(f"{where}: {problem}")
+                    raise CircuitStructureError(f"cell ({r}, {c}): {problem}")
 
 
 def is_valid(circuit: Circuit) -> bool:
@@ -144,53 +151,55 @@ def is_valid(circuit: Circuit) -> bool:
     return True
 
 
-def _split_gate_set(
-    gate_set: frozenset[GateKind],
-) -> tuple[list[GateKind], list[GateKind]]:
+# the kinds a cell draws from: (one-qubit kinds, all kinds), each sorted by
+# name; the second is the first when the set has no two-qubit kind
+_DrawTable = tuple[list[GateKind], list[GateKind]]
+
+
+def _draw_table(gate_set: frozenset[GateKind]) -> _DrawTable:
     one_q = sorted((k for k in gate_set if k.arity == 1), key=lambda k: k.value)
     two_q = sorted((k for k in gate_set if k.arity == 2), key=lambda k: k.value)
-    return one_q, two_q
+    return one_q, one_q + two_q if two_q else one_q
 
 
 def _draw_gate(
     cells: list[Gate | None],
     row: int,
     free: list[int],
-    one_q: list[GateKind],
-    two_q: list[GateKind],
+    table: _DrawTable,
     rng: np.random.Generator,
 ) -> None:
     """Place a random gate on `row` of the column `cells`: a one-qubit kind,
     or a two-qubit kind whose partner row is popped from `free`; identity
     when no kind can be drawn."""
-    choices = one_q + two_q if free and two_q else one_q
+    choices = table[1] if free else table[0]
     if not choices:
         cells[row] = IDENTITY
         return
     kind = choices[rng.integers(len(choices))]
     if kind.arity == 1:
-        theta = float(rng.uniform(-pi, pi)) if kind.parameterized else None
-        cells[row] = Gate(kind, Role.SINGLE, theta)
+        if kind.parameterized:
+            cells[row] = Gate(kind, Role.SINGLE, float(rng.uniform(-pi, pi)))
+        else:
+            cells[row] = shared_cell(kind)
     else:
         other = free.pop(rng.integers(len(free)))
         ctrl, tgt = (row, other) if rng.random() < 0.5 else (other, row)
-        cells[ctrl] = Gate(kind, Role.CONTROL, partner=tgt)
-        cells[tgt] = Gate(kind, Role.TARGET, partner=ctrl)
+        cells[ctrl] = shared_cell(kind, Role.CONTROL, tgt)
+        cells[tgt] = shared_cell(kind, Role.TARGET, ctrl)
 
 
 def random_column(
-    n_qubits: int,
-    gate_set: frozenset[GateKind],
-    rng: np.random.Generator,
-    _split: tuple[list[GateKind], list[GateKind]] | None = None,
+    n_qubits: int, table: _DrawTable, rng: np.random.Generator
 ) -> tuple[Gate, ...]:
     """Fill one column: two-qubit gates claim two free rows, the rest get
     one-qubit gates (identity when no one-qubit kind is configured)."""
-    one_q, two_q = _split if _split is not None else _split_gate_set(gate_set)
     cells: list[Gate | None] = [None] * n_qubits
-    free = [int(i) for i in rng.permutation(n_qubits)]
+    # the same draws as rng.permutation(n_qubits), without the array
+    free = list(range(n_qubits))
+    rng.shuffle(free)
     while free:
-        _draw_gate(cells, free.pop(), free, one_q, two_q, rng)
+        _draw_gate(cells, free.pop(), free, table, rng)
     return tuple(cells)  # type: ignore[arg-type]
 
 
@@ -200,7 +209,12 @@ def random_circuit(
     gate_set: frozenset[GateKind],
     rng: np.random.Generator,
 ) -> Circuit:
-    """Generate a uniformly random valid circuit from `gate_set`."""
+    """Draw a valid circuit from `gate_set`, column by column: each column
+    visits its rows in a random order, and a free row draws its kind
+    uniformly from the set (two-qubit kinds only while another row is
+    free), a rotation angle uniformly from [-pi, pi), and a two-qubit kind
+    a uniformly drawn free partner row and a fair coin for which row is
+    the control. Not uniform over valid circuits."""
     if not gate_set:
         raise ConfigurationError("gate set is empty")
     if n_qubits < 1 or n_qubits > MAX_QUBITS:
@@ -211,8 +225,8 @@ def random_circuit(
         raise ConfigurationError(
             "gate set contains only two-qubit gates but n_qubits < 2"
         )
-    split = _split_gate_set(gate_set)
-    cols = [random_column(n_qubits, gate_set, rng, split) for _ in range(depth)]
+    table = _draw_table(gate_set)
+    cols = [random_column(n_qubits, table, rng) for _ in range(depth)]
     return from_columns(n_qubits, cols)
 
 
@@ -223,6 +237,8 @@ def pad_to(circuit: Circuit, n_qubits: int, depth: int) -> Circuit:
             f"pad_to cannot shrink {circuit.n_qubits}x{circuit.depth} "
             f"to {n_qubits}x{depth}"
         )
+    if n_qubits == circuit.n_qubits and depth == circuit.depth:
+        return circuit
     grid = tuple(
         tuple(
             circuit.grid[r][c]
@@ -235,7 +251,7 @@ def pad_to(circuit: Circuit, n_qubits: int, depth: int) -> Circuit:
     return Circuit(n_qubits, grid)
 
 
-_REPAIR_ONE_Q = [GateKind.ID, GateKind.X, GateKind.H]
+_REPAIR_TABLE = ([GateKind.ID, GateKind.X, GateKind.H],) * 2
 
 
 def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
@@ -250,11 +266,11 @@ def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     columns = [list(col) for col in zip(*circuit.grid)]
     for c, cells in enumerate(columns):
         for r in range(n):
-            if _pair_problem(columns, r, c) is None:
-                continue
             g = cells[r]
+            if g.kind.arity == 1 or _pair_problem(columns, r, c) is None:
+                continue
             if n == 1:
-                _draw_gate(cells, r, [], _REPAIR_ONE_Q, [], rng)
+                _draw_gate(cells, r, [], _REPAIR_TABLE, rng)
                 continue
             role = g.role if g.role in (Role.CONTROL, Role.TARGET) else Role.CONTROL
             id_rows = [i for i in range(n) if i != r and cells[i].kind is GateKind.ID]
@@ -273,12 +289,12 @@ def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
                 ]
                 if not others:
                     # every other row holds a valid pair: no partner exists
-                    _draw_gate(cells, r, [], _REPAIR_ONE_Q, [], rng)
+                    _draw_gate(cells, r, [], _REPAIR_TABLE, rng)
                     continue
                 p = others[rng.integers(len(others))]
             partner_role = Role.TARGET if role is Role.CONTROL else Role.CONTROL
-            cells[r] = Gate(g.kind, role, partner=p)
-            cells[p] = Gate(g.kind, partner_role, partner=r)
+            cells[r] = shared_cell(g.kind, role, p)
+            cells[p] = shared_cell(g.kind, partner_role, r)
     return from_columns(n, columns)
 
 

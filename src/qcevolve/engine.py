@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
-from .circuit import Circuit, random_circuit
-from .errors import ConfigurationError
+from .circuit import Circuit, export_qasm, random_circuit
+from .errors import ConfigurationError, QcevolveError
 from .fitness import FitnessFunction, MLFitness
 from .gates import FULL_GATE_SET, GateKind
 from .operators import (
@@ -175,11 +177,22 @@ class _Evaluator:
         self.memo: dict[Circuit, Individual] = {}
 
     def score(self, circuit: Circuit) -> Individual:
-        """Run the fitness on `circuit`, bypassing the memo."""
+        """Run the fitness on `circuit`, bypassing the memo. A score that is
+        not a finite real number raises QcevolveError: selection cannot
+        rank it."""
         if self.lamarckian:
             score, trained = self.fitness_fn.evaluate_trained(circuit)
-            return Individual(trained, score)
-        return Individual(circuit, self.fitness_fn.evaluate(circuit))
+        else:
+            score, trained = self.fitness_fn.evaluate(circuit), circuit
+        if not isinstance(score, Real) or not math.isfinite(score):
+            fn = self.fitness_fn
+            gates = " ".join(export_qasm(circuit).splitlines()[3:])
+            raise QcevolveError(
+                f"fitness '{fn.name}' ({type(fn).__name__}) returned {score!r}, "
+                f"not a finite real number, for the {circuit.n_qubits}x"
+                f"{circuit.depth} circuit: {gates}"
+            )
+        return Individual(trained, score)
 
     def evaluate(self, circuit: Circuit) -> Individual:
         ind = self.memo.get(circuit)

@@ -12,11 +12,12 @@ from .circuit import (
     Gate,
     Role,
     _draw_gate,
-    _split_gate_set,
+    _draw_table,
     from_columns,
     pad_to,
     random_column,
     repair,
+    shared_cell,
     theta_cells,
 )
 from .errors import ConfigurationError
@@ -111,11 +112,12 @@ def _recombine(
     a: Circuit, b: Circuit, cuts: list[int], rng: np.random.Generator
 ) -> tuple[Circuit, Circuit]:
     bounds = [0] + cuts + [a.depth]
+    cols_a, cols_b = list(zip(*a.grid)), list(zip(*b.grid))
     cols1, cols2 = [], []
     for seg, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        src1, src2 = (a, b) if seg % 2 == 0 else (b, a)
-        cols1.extend(src1.column(c) for c in range(lo, hi))
-        cols2.extend(src2.column(c) for c in range(lo, hi))
+        src1, src2 = (cols_a, cols_b) if seg % 2 == 0 else (cols_b, cols_a)
+        cols1 += src1[lo:hi]
+        cols2 += src2[lo:hi]
     c1 = repair(from_columns(a.n_qubits, cols1), rng)
     c2 = repair(from_columns(a.n_qubits, cols2), rng)
     return c1, c2
@@ -199,12 +201,12 @@ def mutate_single_gate_flip(
     cells = list(circuit.column(c))
     for row in rows:
         cells[row] = IDENTITY
-    one_q, two_q = _split_gate_set(gate_set_of(ctx))
+    table = _draw_table(gate_set_of(ctx))
     for row in rows:
         if cells[row].kind is not GateKind.ID or cells[row].role is not Role.SINGLE:
             continue  # already claimed by a freshly placed two-qubit gate
         free_other = [i for i in range(n) if i != row and cells[i].kind is GateKind.ID]
-        _draw_gate(cells, row, free_other, one_q, two_q, rng)
+        _draw_gate(cells, row, free_other, table, rng)
     grid = tuple(
         old[:c] + (new,) + old[c + 1 :] for old, new in zip(circuit.grid, cells)
     )
@@ -231,8 +233,8 @@ def mutate_swap_control(
     g = circuit.grid[r][c]
     p = g.partner
     grid = [list(row) for row in circuit.grid]
-    grid[r][c] = Gate(g.kind, Role.TARGET, partner=p)
-    grid[p][c] = Gate(g.kind, Role.CONTROL, partner=r)
+    grid[r][c] = shared_cell(g.kind, Role.TARGET, p)
+    grid[p][c] = shared_cell(g.kind, Role.CONTROL, r)
     return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
 
 
@@ -257,11 +259,10 @@ def mutate_qubit_count(
         row = []
         for g in circuit.grid[r]:
             p = g.partner
-            if p is not None and p > drop:
-                p = p - 1
-            elif p == drop:
-                p = None  # dangling, fixed by repair below
-            row.append(Gate(g.kind, g.role, g.theta, p))
+            if p is not None and p >= drop:
+                # the partner moves up a row, or dangles until repair below
+                g = shared_cell(g.kind, g.role, p - 1 if p > drop else None)
+            row.append(g)
         grid.append(tuple(row))
     return repair(Circuit(n - 1, tuple(grid)), rng)
 
@@ -276,10 +277,11 @@ def mutate_gate_count(
     if not can_add and not can_remove:
         return circuit
     add = can_add and (not can_remove or rng.random() < 0.5)
-    cols = [circuit.column(c) for c in range(m)]
+    cols = list(zip(*circuit.grid))
     if add:
         pos = int(rng.integers(m + 1))
-        cols.insert(pos, random_column(circuit.n_qubits, gate_set_of(ctx), rng))
+        table = _draw_table(gate_set_of(ctx))
+        cols.insert(pos, random_column(circuit.n_qubits, table, rng))
     else:
         cols.pop(int(rng.integers(m)))
     return from_columns(circuit.n_qubits, cols)
@@ -293,7 +295,7 @@ def mutate_swap_columns(
     if m < 2:
         return circuit
     c1, c2 = rng.choice(m, size=2, replace=False)
-    cols = [circuit.column(c) for c in range(m)]
+    cols = list(zip(*circuit.grid))
     cols[c1], cols[c2] = cols[c2], cols[c1]
     return from_columns(circuit.n_qubits, cols)
 

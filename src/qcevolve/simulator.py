@@ -6,11 +6,13 @@ axis n-1-k.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .circuit import MAX_QUBITS, Circuit, Role, validate
 from .errors import ConfigurationError
-from .gates import GateKind, gate_matrix
+from .gates import _FIXED_MATRICES, GateKind, gate_matrix
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -33,48 +35,52 @@ def n_qubits_of(state: np.ndarray) -> int:
 # and return the same shape; each row is updated exactly as it would be alone.
 
 
-def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    # little-endian: qubit q splits the flat index as (high, bit q, low);
-    # a batch axis folds into "high"
-    m = state.reshape(-1, 2, 1 << q)
-    return np.matmul(matrix, m).reshape(state.shape)
-
-
-def _apply_cx_fast(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape(state.shape[:-1] + (2,) * n)
+@cache
+def _pair_indices(n: int, control: int, target: int) -> tuple[tuple, tuple]:
+    """Indices of a (..., 2, ..., 2) view selecting control = 1 with target
+    = 0, and with target = 1."""
     i10 = [slice(None)] * n
     i10[n - 1 - control] = 1
     i11 = list(i10)
     i10[n - 1 - target] = 0
     i11[n - 1 - target] = 1
+    return (Ellipsis, *i10), (Ellipsis, *i11)
+
+
+def _apply_cx_fast(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    psi = state.reshape(state.shape[:-1] + (2,) * n)
+    i10, i11 = _pair_indices(n, control, target)
     new = psi.copy()
-    new[(Ellipsis, *i10)] = psi[(Ellipsis, *i11)]
-    new[(Ellipsis, *i11)] = psi[(Ellipsis, *i10)]
+    new[i10] = psi[i11]
+    new[i11] = psi[i10]
     return new.reshape(state.shape)
 
 
 def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
     psi = state.reshape(state.shape[:-1] + (2,) * n).copy()
-    i11 = [slice(None)] * n
-    i11[n - 1 - control] = 1
-    i11[n - 1 - target] = 1
-    psi[(Ellipsis, *i11)] *= -1
+    psi[_pair_indices(n, control, target)[1]] *= -1
     return psi.reshape(state.shape)
 
 
 def _apply(
     state: np.ndarray,
+    n: int,
     kind: GateKind,
     theta: float | None,
-    targets: tuple[int, ...],
-    n: int,
+    q: int,
+    partner: int | None = None,
 ) -> np.ndarray:
-    """The one gate kernel dispatch; `targets` lists the control first."""
+    """The one gate kernel dispatch: `kind` on qubit `q`, the control of a
+    CX or CZ whose target is `partner`. Fixed one-qubit matrices come from
+    the table; only rotations are built."""
     if kind is GateKind.CX:
-        return _apply_cx_fast(state, targets[0], targets[1], n)
+        return _apply_cx_fast(state, q, partner, n)
     if kind is GateKind.CZ:
-        return _apply_cz_fast(state, targets[0], targets[1], n)
-    return _apply_1q_fast(state, gate_matrix(kind, theta), targets[0])
+        return _apply_cz_fast(state, q, partner, n)
+    matrix = gate_matrix(kind, theta) if kind.parameterized else _FIXED_MATRICES[kind]
+    # little-endian: qubit q splits the flat index as (high, bit q, low);
+    # a batch axis folds into "high"
+    return np.matmul(matrix, state.reshape(-1, 2, 1 << q)).reshape(state.shape)
 
 
 def apply_gate(
@@ -91,22 +97,21 @@ def apply_gate(
         raise ValueError(f"targets {targets} out of range for {n} qubits")
     if len(targets) != kind.arity:
         raise ValueError(f"{kind.value} needs {kind.arity} targets, got {len(targets)}")
-    if kind.arity == 2 and theta is not None:
+    if kind.parameterized and theta is None:
+        raise ValueError(f"{kind.value} requires a rotation angle")
+    if not kind.parameterized and theta is not None:
         raise ValueError(f"{kind.value} takes no rotation angle")
-    return _apply(state, kind, theta, targets, n)
+    return _apply(state, n, kind, theta, *targets)
 
 
 def run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply a validated circuit to an arbitrary start state, or to each row
     of a C-contiguous (batch, 2**n) stack of them; returns the same shape."""
     n = circuit.n_qubits
-    for c in range(circuit.depth):
-        for r in range(n):
-            g = circuit.grid[r][c]
-            if g.kind is GateKind.ID or g.role is Role.TARGET:
-                continue
-            targets = (r,) if g.partner is None else (r, g.partner)
-            state = _apply(state, g.kind, g.theta, targets, n)
+    for column in zip(*circuit.grid):
+        for r, g in enumerate(column):
+            if g.kind is not GateKind.ID and g.role is not Role.TARGET:
+                state = _apply(state, n, g.kind, g.theta, r, g.partner)
     return state
 
 

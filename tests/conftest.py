@@ -3,8 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# no deadline: a shared host can stall any single example. CI selects
+# "ci" (--hypothesis-profile=ci): the same examples on every run.
+settings.register_profile("default", deadline=None)
+settings.register_profile("ci", deadline=None, derandomize=True, print_blob=True)
+settings.load_profile("default")
 
 from qcevolve.circuit import Circuit, Gate, Role
 from qcevolve.gates import GateKind

@@ -14,7 +14,8 @@ from qcevolve.cli import (
 )
 from qcevolve.engine import GenerationRecord
 from qcevolve.errors import ConfigurationError
-from qcevolve.gates import RESTRICTED_GATE_SET
+from qcevolve.fitness import _REGISTRY, FitnessFunction
+from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET
 
 
 def write_config(tmp_path, text, name="run.properties"):
@@ -36,6 +37,17 @@ class TestParseConfig:
         p = write_config(tmp_path, "gate_set = id,rz,sx,x,cx\n")
         spec = parse_config(p)
         assert spec.run_config.gate_set == RESTRICTED_GATE_SET
+
+    @pytest.mark.parametrize(
+        "name,gate_set", [("full", FULL_GATE_SET), ("restricted", RESTRICTED_GATE_SET)]
+    )
+    @pytest.mark.parametrize("key", ["gate_set", "target_gate_set"])
+    def test_named_gate_set(self, tmp_path, key, name, gate_set):
+        spec = parse_config(write_config(tmp_path, f"{key} = {name}\n"))
+        if key == "gate_set":
+            assert spec.run_config.gate_set == gate_set
+        else:
+            assert spec.target_gate_set == gate_set
 
     def test_population_size_one_rejected(self, tmp_path):
         p = write_config(tmp_path, "population_size = 1\n")
@@ -219,6 +231,24 @@ class TestMainEntry:
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "min_qubits >= 3" in capsys.readouterr().err
         assert not (out / "target0_rep0").exists()
+
+    def test_non_finite_fitness_is_a_run_failure(self, tmp_path, capsys, monkeypatch):
+        class NanFitness(FitnessFunction):
+            name = "nan_for_test"
+
+            def evaluate(self, circuit):
+                return float("nan")
+
+        monkeypatch.setitem(_REGISTRY, "nan_for_test", NanFitness)
+        cfg = write_config(
+            tmp_path,
+            "fitness = nan_for_test\nn_qubits = 2\ndepth = 2\n"
+            "population_size = 4\ngenerations = 1\n",
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: fitness 'nan_for_test' (NanFitness)")
+        assert "returned nan" in err and "2x2 circuit" in err
 
     def test_eval_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMOKE_CONFIG)

@@ -14,7 +14,7 @@ from qcevolve.engine import (
     make_rng_streams,
     random_baseline,
 )
-from qcevolve.errors import ConfigurationError
+from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.fitness import (
     Dataset,
     EntanglementFitness,
@@ -243,6 +243,47 @@ class TestRandomBaseline:
         t1 = random_baseline(cfg, EntanglementFitness(), np.random.default_rng(5))
         t2 = random_baseline(cfg, EntanglementFitness(), np.random.default_rng(5))
         assert t1 == t2
+
+
+class ScriptedFitness(FitnessFunction):
+    """Scores 0.5 until the `bad_at`-th call, which returns `bad`."""
+
+    name = "scripted"
+
+    def __init__(self, bad, bad_at: int = 12):
+        self.bad, self.bad_at, self.calls = bad, bad_at, 0
+
+    def evaluate(self, circuit):
+        self.calls += 1
+        return self.bad if self.calls == self.bad_at else 0.5
+
+
+class TestScoreChecks:
+    BAD = [float("nan"), float("inf"), -float("inf"), np.nan, 0.5 + 0j, "0.5", None]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize(
+        "parents,survivors", [("tournament", "truncation"), ("roulette", "roulette")]
+    )
+    def test_rejected_in_evolve(self, bad, parents, survivors):
+        cfg = small_config(parent_selection=parents, survivor_selection=survivors)
+        fn = ScriptedFitness(bad)
+        named = r"fitness 'scripted' \(ScriptedFitness\)"
+        with pytest.raises(QcevolveError, match=named):
+            evolve(cfg, fn, np.random.default_rng(0))
+        assert fn.calls == fn.bad_at
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_rejected_in_baseline(self, bad):
+        message = r"returned .*, not a finite real number, for the 2x3 circuit: "
+        with pytest.raises(QcevolveError, match=message):
+            random_baseline(small_config(), ScriptedFitness(bad), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("good", [np.float32(0.25), np.int64(1), 0, True], ids=repr)
+    def test_real_numbers_accepted(self, good):
+        fn = ScriptedFitness(good)
+        best, _ = evolve(small_config(generations=2), fn, np.random.default_rng(0))
+        assert best.fitness == max(good, 0.5)
 
 
 class TestFitnessMemo:

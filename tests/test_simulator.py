@@ -48,6 +48,11 @@ class TestGateMatrix:
         sx = gate_matrix(GateKind.SX)
         assert np.allclose(sx @ sx, gate_matrix(GateKind.X), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", [k for k in GateKind if not k.parameterized])
+    def test_fixed_matrices_are_read_only(self, kind):
+        with pytest.raises(ValueError, match="read-only"):
+            gate_matrix(kind)[0, 0] = 2
+
     def test_theta_contract(self):
         with pytest.raises(ValueError):
             gate_matrix(GateKind.RX)
