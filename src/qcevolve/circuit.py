@@ -138,6 +138,11 @@ def validate(circuit: Circuit) -> None:
                         f"cell ({r}, {c}): one-qubit gate with two-qubit metadata"
                     )
             else:
+                # every earlier row passed: an intact first half that names
+                # this row as its partner vouches for this half
+                p = g.partner
+                if p is not None and 0 <= p < r and columns[c][p].partner == r:
+                    continue
                 problem = _pair_problem(columns, r, c)
                 if problem is not None:
                     raise CircuitStructureError(f"cell ({r}, {c}): {problem}")

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
+import pickle
+import signal
 import sys
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -337,6 +342,107 @@ def _make_fitness(spec: ExperimentSpec, target: np.ndarray | None) -> FitnessFun
     return ctor(*args, **params)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _child(read_fd: int, write_fd: int, fn, args) -> None:
+    """Body of the forked child, which never returns: pickle (True,
+    fn(*args), None), or (False, the exception, its traceback), into
+    `write_fd`, flush the child's own output and leave through os._exit,
+    so that no parent-side cleanup or atexit handler runs. An exception
+    that does not survive pickling is sent as a QcevolveError naming its
+    type and message."""
+    code = 1
+    try:
+        # with no read end left once the parent is gone, the write below
+        # fails instead of blocking on a full pipe
+        os.close(read_fd)
+        try:
+            data = pickle.dumps((True, fn(*args), None))
+        except BaseException as exc:  # interrupts too: the parent re-raises it
+            tb = "".join(traceback.format_exception(exc))
+            try:
+                data = pickle.dumps((False, exc, tb))
+                pickle.loads(data)
+            except Exception:
+                error = QcevolveError(f"{type(exc).__name__}: {exc}")
+                data = pickle.dumps((False, error, tb))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+@contextmanager
+def _alongside(fn, *args):
+    """Run `fn(*args)` while the with-block runs. The block gets a callable
+    that returns fn's result, or raises what fn raised.
+
+    With os.fork and at least two usable CPUs, fn starts in a forked child
+    on entry. The callable waits for the child's pickled reply and reaps
+    it; a child that ends without one is a QcevolveError naming its exit
+    status or signal. A block that ends without calling it kills the child
+    with SIGKILL and reaps it. If this process itself is killed, the child
+    runs on until fn returns: its write to the pipe then fails and it
+    exits. Otherwise, or when no process can be forked, fn runs in this
+    process when the callable is called.
+    """
+    pid = None
+    if hasattr(os, "fork") and _usable_cpus() >= 2:
+        # flushed here, the parent's pending output cannot be written twice
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        yield lambda: fn(*args)
+        return
+    if pid == 0:
+        _child(read_fd, write_fd, fn, args)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    status = None
+
+    def result():
+        nonlocal status
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            how = (
+                f"killed by signal {signal.Signals(-code).name}"
+                if code < 0
+                else f"exit status {code}"
+            )
+            raise QcevolveError(
+                f"the random baseline's process ended without a result ({how})"
+            )
+        ok, value, tb = pickle.loads(data)
+        if ok:
+            return value
+        raise value from RuntimeError(f"in the random baseline's process:\n{tb}")
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     """Run GA + baseline for every target x repeat; write all artifacts."""
     cfg = spec.run_config.resolved()
@@ -351,8 +457,11 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
         for rep in range(spec.n_repeats):
             label = f"t{t_idx}r{rep}"
             streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])
-            best, trace = evolve(cfg, fitness_fn, streams[f"{label}/ga"])
-            baseline = random_baseline(cfg, fitness_fn, streams[f"{label}/baseline"])
+            with _alongside(
+                random_baseline, cfg, fitness_fn, streams[f"{label}/baseline"]
+            ) as baseline_result:
+                best, trace = evolve(cfg, fitness_fn, streams[f"{label}/ga"])
+                baseline = baseline_result()
             trace = [
                 replace(rec, baseline_best_fitness=baseline[i])
                 for i, rec in enumerate(trace)

@@ -8,7 +8,7 @@ from numbers import Real
 
 import numpy as np
 
-from .circuit import Circuit, export_qasm, random_circuit
+from .circuit import MAX_QUBITS, Circuit, export_qasm, random_circuit
 from .errors import ConfigurationError, QcevolveError
 from .fitness import FitnessFunction, MLFitness
 from .gates import FULL_GATE_SET, GateKind
@@ -94,6 +94,11 @@ class RunConfig:
         if not 1 <= cfg.min_qubits <= cfg.n_qubits <= cfg.max_qubits:
             raise ConfigurationError(
                 "need 1 <= min_qubits <= n_qubits <= max_qubits"
+            )
+        if cfg.max_qubits > MAX_QUBITS:
+            raise ConfigurationError(
+                f"max_qubits {cfg.max_qubits} exceeds the simulator's limit "
+                f"of {MAX_QUBITS} qubits"
             )
         if not 1 <= cfg.depth <= cfg.max_depth:
             raise ConfigurationError("need 1 <= depth <= max_depth")

@@ -30,7 +30,9 @@ class FitnessFunction:
 
     It must be deterministic: `evolve` scores each distinct circuit once
     while it is in the population or among the current generation's
-    children, and reuses that score for every equal circuit.
+    children, and reuses that score for every equal circuit. `qcevolve run`
+    may call it for the random baseline in a forked child: state the
+    object keeps then records the baseline's calls only in the child.
     """
 
     name = "abstract"

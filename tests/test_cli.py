@@ -1,7 +1,13 @@
 
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from qcevolve import cli
 from qcevolve.circuit import deserialize
 from qcevolve.cli import (
     emit_convergence_svg,
@@ -13,7 +19,7 @@ from qcevolve.cli import (
     write_statevector,
 )
 from qcevolve.engine import GenerationRecord
-from qcevolve.errors import ConfigurationError
+from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.fitness import _REGISTRY, FitnessFunction
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET
 
@@ -219,6 +225,19 @@ class TestMainEntry:
         assert "min_qubits >= 2" in capsys.readouterr().err
         assert not (out / "target0_rep0").exists()
 
+    def test_width_beyond_the_simulator_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "fitness = entanglement\nn_qubits = 2\nmax_qubits = 21\n"
+            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "max_qubits 21 exceeds the simulator's limit of 20 qubits" in err
+        assert not out.exists()
+
     def test_ml_needs_a_qubit_per_feature(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0.1,0.2,0.3,0\n0.9,0.8,0.7,1\n")
@@ -319,3 +338,213 @@ class TestUnreadableInputs:
         )
         err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
         assert "'depth_weight'" in err
+
+
+def snapshot(out):
+    return {
+        str(f.relative_to(out)): f.read_bytes()
+        for f in sorted(out.rglob("*"))
+        if f.is_file()
+    }
+
+
+def ml_config(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("0.1,0.9,0\n0.8,0.2,1\n0.3,0.7,0\n0.9,0.1,1\n")
+    return (
+        f"fitness = ml\ndataset = {data}\ntrain_steps = 3\nn_qubits = 2\n"
+        "depth = 2\npopulation_size = 4\ngenerations = 2\nseed = 5\n"
+    )
+
+
+OVERLAP_CONFIGS = {
+    "fidelity": lambda tmp_path: (
+        "fitness = fidelity\nn_qubits = 2\ndepth = 3\npopulation_size = 6\n"
+        "generations = 3\nseed = 5\ntarget_seeds = 0, 1\nn_repeats = 2\n"
+    ),
+    "ml": ml_config,
+    "entanglement": lambda tmp_path: (
+        "fitness = entanglement\nn_qubits = 3\nmin_qubits = 2\nmax_qubits = 4\n"
+        "depth = 3\nmax_depth = 6\npopulation_size = 6\ngenerations = 3\n"
+        "crossover_method = blockwise\nmutation_prob = 0.5\nseed = 5\n"
+        "n_repeats = 2\n"
+    ),
+}
+
+
+class UnpicklableArgsError(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: __init__ takes two
+    arguments and the pickle holds one."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def local_error(*args):
+    class LocalError(Exception):
+        pass
+
+    raise LocalError("cannot be pickled")
+
+
+def two_argument_error(*args):
+    raise UnpicklableArgsError("baseline", "cannot be unpickled")
+
+
+class TestBaselineAlongside:
+    """`qcevolve run` runs each random baseline in a forked child while the
+    GA runs in this process, or in this process after the GA where it
+    cannot fork or has one CPU. Both paths give the same outputs and the
+    same errors, and leave no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def use(monkeypatch, path):
+        cpus = 2 if path == "forked" else 1
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+    def run(self, tmp_path, monkeypatch, path, text):
+        self.use(monkeypatch, path)
+        cfg = write_config(tmp_path, text, name=f"{path}.properties")
+        out = tmp_path / path
+        return main(["run", str(cfg), "--out", str(out), "--quiet"]), out
+
+    @pytest.mark.parametrize("fitness", sorted(OVERLAP_CONFIGS))
+    def test_both_paths_write_identical_bytes(self, tmp_path, monkeypatch, fitness):
+        text = OVERLAP_CONFIGS[fitness](tmp_path)
+        forked, out_f = self.run(tmp_path, monkeypatch, "forked", text)
+        in_process, out_p = self.run(tmp_path, monkeypatch, "in_process", text)
+        assert forked == in_process == 0
+        files = snapshot(out_f)
+        assert files == snapshot(out_p)
+        assert len(files) > 2
+
+    def test_forked_child_really_runs_the_baseline(self, tmp_path, monkeypatch):
+        pids = []
+
+        def record_pid(*args):
+            pids.append(os.getpid())
+            return real(*args)
+
+        real = cli.random_baseline
+        monkeypatch.setattr(cli, "random_baseline", record_pid)
+        code, _ = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        assert code == 0
+        assert pids == []  # appended in the child, not here
+        code, _ = self.run(tmp_path, monkeypatch, "in_process", SMOKE_CONFIG)
+        assert code == 0
+        assert pids == [os.getpid()]
+
+    def test_failed_fork_runs_the_baseline_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        monkeypatch.undo()
+        assert code == 0
+        code, expected = self.run(tmp_path, monkeypatch, "in_process", SMOKE_CONFIG)
+        assert snapshot(out) == snapshot(expected)
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
+    def test_baseline_error_is_a_run_failure(self, tmp_path, monkeypatch, capsys, path):
+        def broken(*args):
+            raise QcevolveError("baseline broke")
+
+        monkeypatch.setattr(cli, "random_baseline", broken)
+        code, out = self.run(tmp_path, monkeypatch, path, SMOKE_CONFIG)
+        assert code == 1
+        assert capsys.readouterr().err == "run failed: baseline broke\n"
+        assert not (out / "target0_rep0").exists()
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
+    @pytest.mark.parametrize("baseline", ["slow", "failing"])
+    def test_ga_error_wins_and_the_child_is_reaped(
+        self, tmp_path, monkeypatch, capsys, path, baseline
+    ):
+        def ga_broke(*args):
+            raise QcevolveError("ga broke")
+
+        def slow(*args):
+            time.sleep(60)
+
+        def failing(*args):
+            raise QcevolveError("baseline broke")
+
+        monkeypatch.setattr(cli, "evolve", ga_broke)
+        monkeypatch.setattr(cli, "random_baseline", {"slow": slow, "failing": failing}[baseline])
+        t0 = time.monotonic()
+        code, _ = self.run(tmp_path, monkeypatch, path, SMOKE_CONFIG)
+        assert code == 1
+        assert capsys.readouterr().err == "run failed: ga broke\n"
+        assert time.monotonic() - t0 < 30  # the slow child was killed
+
+    def test_child_killed_by_a_signal(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "random_baseline", lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        code, _ = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "run failed: the random baseline's process ended without a result "
+            "(killed by signal SIGKILL)\n"
+        )
+
+    def test_child_that_exits_early(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "random_baseline", lambda *args: os._exit(3))
+        code, _ = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        assert code == 1
+        assert "ended without a result (exit status 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raiser, message",
+        [
+            (local_error, "LocalError: cannot be pickled"),
+            (two_argument_error, "UnpicklableArgsError: baseline: cannot be unpickled"),
+        ],
+    )
+    def test_exception_that_cannot_travel(self, tmp_path, monkeypatch, capsys, raiser, message):
+        monkeypatch.setattr(cli, "random_baseline", raiser)
+        code, _ = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        assert code == 1
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+
+    def test_other_errors_keep_their_type_and_the_child_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        def buggy(*args):
+            return 1 / 0
+
+        monkeypatch.setattr(cli, "random_baseline", buggy)
+        with pytest.raises(ZeroDivisionError) as exc:
+            self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        cause = str(exc.value.__cause__)
+        assert "in the random baseline's process" in cause
+        assert "return 1 / 0" in cause
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
+    def test_each_line_is_printed_once(self, tmp_path, monkeypatch, path):
+        def chatty(*args):
+            print("baseline says hi")
+            return real(*args)
+
+        real = cli.random_baseline
+        monkeypatch.setattr(cli, "random_baseline", chatty)
+        self.use(monkeypatch, path)
+        text = SMOKE_CONFIG.replace("n_repeats = 1", "n_repeats = 3")
+        spec = parse_config(write_config(tmp_path, text))
+        spec = type(spec)(**{**spec.__dict__, "output_dir": str(tmp_path / "out")})
+        # block-buffered, as stdout is when it is a file or a pipe
+        with open(tmp_path / "stdout.txt", "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert run_experiment(spec) == 0
+        lines = (tmp_path / "stdout.txt").read_text().splitlines()
+        assert lines.count("baseline says hi") == 3
+        assert [line.split(":")[0] for line in lines if line.startswith("target")] == [
+            "target0 repeat 0", "target0 repeat 1", "target0 repeat 2"
+        ]

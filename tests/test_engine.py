@@ -6,7 +6,14 @@ import pytest
 from conftest import bell_circuit
 
 from qcevolve import engine
-from qcevolve.circuit import Circuit, Gate, random_circuit, serialize, validate
+from qcevolve.circuit import (
+    MAX_QUBITS,
+    Circuit,
+    Gate,
+    random_circuit,
+    serialize,
+    validate,
+)
 from qcevolve.engine import (
     GenerationRecord,
     RunConfig,
@@ -221,6 +228,19 @@ class TestQubitBounds:
         cfg = small_config(n_qubits=3, min_qubits=2)
         with pytest.raises(ConfigurationError, match="min_qubits >= 3"):
             random_baseline(cfg, MLFitness(ds), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("search", [evolve, random_baseline])
+    def test_width_beyond_the_simulator_rejected(self, search):
+        # mutate_qubit_count would grow rows past MAX_QUBITS partway through
+        fn = CountingFitness(EntanglementFitness())
+        cfg = small_config(max_qubits=MAX_QUBITS + 1, mutation_prob=1.0)
+        match = f"max_qubits {MAX_QUBITS + 1} exceeds the simulator's limit of {MAX_QUBITS}"
+        with pytest.raises(ConfigurationError, match=match):
+            search(cfg, fn, np.random.default_rng(0))
+        assert fn.calls == 0
+
+    def test_width_at_the_simulator_limit_accepted(self):
+        assert small_config(max_qubits=MAX_QUBITS).resolved().max_qubits == MAX_QUBITS
 
 
 class TestRandomBaseline:

@@ -5,8 +5,11 @@ depths, seeds and gate sets; the round trip also draws its angles.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import simulate_oracle
@@ -23,6 +26,7 @@ from qcevolve.circuit import (
     theta_cells,
     validate,
 )
+from qcevolve.errors import CircuitStructureError
 from qcevolve.engine import CROSSOVER_METHODS
 from qcevolve.gates import GateKind
 from qcevolve.operators import (
@@ -145,3 +149,92 @@ def test_drawn_circuit_equals_its_fresh_copy(circuit):
     copy = Circuit(circuit.n_qubits, grid)
     assert copy == circuit and hash(copy) == hash(circuit)
     assert {copy: 1}[circuit] == 1
+
+
+def first_bad_cell(circuit: Circuit) -> tuple[int, int] | None:
+    """The first cell, row by row, that breaks a structural rule, checked
+    cell by cell on its own: an angle iff the kind is parameterized; a
+    one-qubit cell has the single role and no partner; a two-qubit cell
+    has a control or target role and a partner row other than its own
+    whose cell has the same kind, the other role and names it back."""
+    n = circuit.n_qubits
+    for r, row in enumerate(circuit.grid):
+        for c, g in enumerate(row):
+            if g.kind.parameterized != (g.theta is not None):
+                return r, c
+            if g.kind.arity == 1:
+                if g.role is not Role.SINGLE or g.partner is not None:
+                    return r, c
+                continue
+            p = g.partner
+            if g.role is Role.SINGLE or p is None or not 0 <= p < n or p == r:
+                return r, c
+            other = circuit.grid[p][c]
+            if (
+                other.kind is not g.kind
+                or other.partner != r
+                or other.role in (g.role, Role.SINGLE)
+            ):
+                return r, c
+    return None
+
+
+@st.composite
+def corrupted_circuits(draw) -> Circuit:
+    """A drawn circuit with one cell replaced, or one field of it: its
+    kind, role, angle or partner row (-1 and n_qubits included)."""
+    circuit = draw(circuits())
+    n = circuit.n_qubits
+    r = draw(st.integers(0, n - 1))
+    c = draw(st.integers(0, circuit.depth - 1))
+    fields = {
+        "kind": st.sampled_from(list(GateKind)),
+        "role": st.sampled_from(list(Role)),
+        "theta": st.sampled_from([None, 0.5]),
+        "partner": st.none() | st.integers(-1, n),
+    }
+    changed = draw(st.sampled_from([[name] for name in fields] + [list(fields)]))
+    grid = [list(row) for row in circuit.grid]
+    grid[r][c] = replace(grid[r][c], **{f: draw(fields[f]) for f in changed})
+    return Circuit(n, tuple(tuple(row) for row in grid))
+
+
+def pair_half(role: Role, partner: int) -> tuple[Gate]:
+    return (Gate(GateKind.CX, role, partner=partner),)
+
+
+# a first half naming row -1, whose last-row partner names it back
+@example(Circuit(2, (pair_half(Role.CONTROL, -1), pair_half(Role.TARGET, 0))))
+# a second half naming an earlier row that is paired with another row
+@example(
+    Circuit(
+        3,
+        (
+            pair_half(Role.CONTROL, 1),
+            pair_half(Role.TARGET, 0),
+            pair_half(Role.TARGET, 0),
+        ),
+    )
+)
+@given(corrupted_circuits())
+def test_validate_names_the_first_bad_cell(corrupted):
+    bad = first_bad_cell(corrupted)
+    if bad is None:
+        validate(corrupted)
+    else:
+        with pytest.raises(CircuitStructureError) as exc:
+            validate(corrupted)
+        assert str(exc.value).startswith(f"cell {bad}: ")
+
+
+@given(circuits(max_qubits=5, max_depth=8), st.integers(1, 9), seeds)
+def test_stacked_run_gates_equals_per_row_runs(circuit, batch, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**circuit.n_qubits
+    states = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    stacked = run_gates(states, circuit)
+    assert stacked.shape == states.shape
+    for row, state in zip(stacked, states):
+        # bit for bit: the ML fitness scores a whole dataset in one stack
+        assert row.tobytes() == run_gates(state.copy(), circuit).tobytes()
