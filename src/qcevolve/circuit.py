@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from math import pi
+from operator import length_hint
 
 import numpy as np
 
@@ -158,12 +159,15 @@ def is_valid(circuit: Circuit) -> bool:
 
 # the kinds a cell draws from: (one-qubit kinds, all kinds), each sorted by
 # name; the second is the first when the set has no two-qubit kind
-_DrawTable = tuple[list[GateKind], list[GateKind]]
+_DrawTable = tuple[tuple[GateKind, ...], tuple[GateKind, ...]]
 
 
+@cache
 def _draw_table(gate_set: frozenset[GateKind]) -> _DrawTable:
-    one_q = sorted((k for k in gate_set if k.arity == 1), key=lambda k: k.value)
-    two_q = sorted((k for k in gate_set if k.arity == 2), key=lambda k: k.value)
+    """The draw table of a gate set, built once per set."""
+    kinds = sorted(gate_set, key=lambda k: k.value)
+    one_q = tuple(k for k in kinds if k.arity == 1)
+    two_q = tuple(k for k in kinds if k.arity == 2)
     return one_q, one_q + two_q if two_q else one_q
 
 
@@ -194,6 +198,93 @@ def _draw_gate(
         cells[tgt] = shared_cell(kind, Role.TARGET, ctrl)
 
 
+class _PCG64Draws:
+    """The draws random_column and _draw_gate take from a Generator over
+    PCG64, served from blocks of the bit generator's raw 64-bit words.
+
+    A call to a Generator method costs many times the word it draws. Each
+    method below rebuilds the algorithm of numpy's C code in Python, so it
+    returns the values numpy would return from the same state:
+    - `integers(k)`: Lemire's method on the next 32-bit half word, with no
+      draw for k == 1;
+    - `random()`: the top 53 bits of a word times 2**-53;
+    - `uniform(lo, hi)`: lo + (hi - lo) * random();
+    - `shuffle(x)` on a list: Fisher-Yates from the back, each index drawn
+      from a half word under the smallest covering bit mask, rejected and
+      drawn again while above its bound.
+    A half word is the low 32 bits of a fresh word; the high 32 bits wait
+    in the generator's `has_uint32`/`uinteger` buffer for the next one,
+    which carries across calls, and a 64-bit draw leaves it alone.
+
+    As a context manager it takes the generator's state on entry and, on
+    exit, restores it with the buffer as the draws left it and skips the
+    words they used: the generator is then exactly where numpy's own calls
+    would have left it. The generator must not be drawn from in between.
+    """
+
+    __slots__ = ("_bg", "_state", "_block", "_words", "_read", "_has32", "_half")
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._bg = rng.bit_generator
+        self._block = block
+
+    def __enter__(self) -> _PCG64Draws:
+        state = self._state = self._bg.state
+        self._has32 = state["has_uint32"]
+        self._half = state["uinteger"]
+        self._read = 0
+        self._words = iter(())
+        return self
+
+    def __exit__(self, *exc) -> None:
+        state = self._state
+        state["has_uint32"] = self._has32
+        state["uinteger"] = self._half
+        self._bg.state = state
+        self._bg.random_raw(self._read - length_hint(self._words), False)
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._bg.random_raw(self._block).tolist())
+            self._read += self._block
+            return next(self._words)
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._half
+        w = self._word()
+        self._has32 = 1
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = 0x100000000 % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def shuffle(self, x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            x[i], x[j] = x[j], x[i]
+
+
 def random_column(
     n_qubits: int, table: _DrawTable, rng: np.random.Generator
 ) -> tuple[Gate, ...]:
@@ -219,7 +310,10 @@ def random_circuit(
     uniformly from the set (two-qubit kinds only while another row is
     free), a rotation angle uniformly from [-pi, pi), and a two-qubit kind
     a uniformly drawn free partner row and a fair coin for which row is
-    the control. Not uniform over valid circuits."""
+    the control. Not uniform over valid circuits.
+
+    From a Generator over PCG64 the draws come from _PCG64Draws: the same
+    numbers, and the same generator state afterwards, for less."""
     if not gate_set:
         raise ConfigurationError("gate set is empty")
     if n_qubits < 1 or n_qubits > MAX_QUBITS:
@@ -231,7 +325,11 @@ def random_circuit(
             "gate set contains only two-qubit gates but n_qubits < 2"
         )
     table = _draw_table(gate_set)
-    cols = [random_column(n_qubits, table, rng) for _ in range(depth)]
+    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+        with _PCG64Draws(rng, 2 * n_qubits * depth) as draws:
+            cols = [random_column(n_qubits, table, draws) for _ in range(depth)]
+    else:
+        cols = [random_column(n_qubits, table, rng) for _ in range(depth)]
     return from_columns(n_qubits, cols)
 
 
@@ -256,7 +354,7 @@ def pad_to(circuit: Circuit, n_qubits: int, depth: int) -> Circuit:
     return Circuit(n_qubits, grid)
 
 
-_REPAIR_TABLE = ([GateKind.ID, GateKind.X, GateKind.H],) * 2
+_REPAIR_TABLE = ((GateKind.ID, GateKind.X, GateKind.H),) * 2
 
 
 def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:

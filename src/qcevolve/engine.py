@@ -16,6 +16,7 @@ from .operators import (
     Individual,
     MutationContext,
     Population,
+    check_mutation_weights,
     crossover_blockwise,
     crossover_multi_point,
     crossover_single_point,
@@ -106,6 +107,8 @@ class RunConfig:
             raise ConfigurationError("children_per_generation must be >= 1")
         if not cfg.gate_set:
             raise ConfigurationError("gate_set must be nonempty")
+        if cfg.mutation_weights is not None:
+            check_mutation_weights(cfg.mutation_weights)
         return cfg
 
     def mutation_context(self) -> MutationContext:
@@ -274,9 +277,7 @@ def evolve(
                 if len(children) >= cfg.children_per_generation:
                     break
                 if rng.random() < cfg.mutation_prob:
-                    child = mutate(
-                        child, rng, ctx, list(cfg.mutation_weights or []) or None
-                    )
+                    child = mutate(child, rng, ctx, cfg.mutation_weights)
                 children.append(evaluator.evaluate(child))
         members = _survivors(pop.members, children, cfg, rng)
         evaluator.keep_only(members)

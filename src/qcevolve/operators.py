@@ -1,8 +1,9 @@
 """Selection, crossover, and mutation operators over circuit populations."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -328,21 +329,31 @@ MUTATION_METHODS = (
 MUTATION_NAMES = tuple(f.__name__.removeprefix("mutate_") for f in MUTATION_METHODS)
 
 
+def check_mutation_weights(weights: Sequence[float]) -> None:
+    """Raise ConfigurationError unless `weights` holds one finite,
+    nonnegative weight per entry of MUTATION_NAMES, not all zero."""
+    if len(weights) != len(MUTATION_METHODS):
+        raise ConfigurationError(
+            f"mutation_weights needs {len(MUTATION_METHODS)} values, one each "
+            f"for {', '.join(MUTATION_NAMES)}; got {len(weights)}"
+        )
+    if not all(isfinite(w) and w >= 0 for w in weights) or not any(weights):
+        raise ConfigurationError(
+            "mutation_weights must be finite and nonnegative, not all zero; "
+            f"got {', '.join(map(str, weights))}"
+        )
+
+
 def mutate(
     circuit: Circuit,
     rng: np.random.Generator,
     ctx: MutationContext,
-    weights: list[float] | None = None,
+    weights: Sequence[float] | None = None,
 ) -> Circuit:
     """Apply exactly one mutation method, chosen with probability ~ weights."""
     if weights is None:
         weights = [1.0] * len(MUTATION_METHODS)
-    if len(weights) != len(MUTATION_METHODS):
-        raise ConfigurationError(
-            f"need {len(MUTATION_METHODS)} mutation weights, got {len(weights)}"
-        )
+    check_mutation_weights(weights)
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ConfigurationError("mutation weights must be nonnegative, not all zero")
     method = MUTATION_METHODS[rng.choice(len(MUTATION_METHODS), p=w / w.sum())]
     return method(circuit, rng, ctx)

@@ -238,6 +238,21 @@ class TestMainEntry:
         assert "max_qubits 21 exceeds the simulator's limit of 20 qubits" in err
         assert not out.exists()
 
+    def test_non_finite_mutation_weight_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "fitness = entanglement\nn_qubits = 2\ndepth = 2\n"
+            "population_size = 4\ngenerations = 2\nmutation_prob = 1.0\n"
+            "mutation_weights = nan,1,1,1,1,1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "mutation_weights must be finite and nonnegative" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ml_needs_a_qubit_per_feature(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0.1,0.2,0.3,0\n0.9,0.8,0.7,1\n")

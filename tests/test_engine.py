@@ -79,6 +79,26 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(**{**dict(population_size=100), **bad}).resolved()
 
+    @pytest.mark.parametrize("search", [evolve, random_baseline])
+    @pytest.mark.parametrize(
+        "weights,match",
+        [
+            ((float("nan"), 1, 1, 1, 1, 1), "finite and nonnegative"),
+            ((1, 1, float("inf"), 1, 1, 1), "finite and nonnegative"),
+            ((1, 1, 1, 1, 1, -1), "finite and nonnegative"),
+            ((0, 0, 0, 0, 0, 0), "not all zero"),
+            ((1, 1, 1, 1, 1), "needs 6 values"),
+            ((), "needs 6 values"),
+        ],
+    )
+    def test_bad_mutation_weights_rejected(self, search, weights, match):
+        # a non-finite weight used to reach rng.choice in the first mutation
+        fn = CountingFitness(EntanglementFitness())
+        cfg = small_config(mutation_weights=weights, mutation_prob=1.0)
+        with pytest.raises(ConfigurationError, match=f"mutation_weights .*{match}"):
+            search(cfg, fn, np.random.default_rng(0))
+        assert fn.calls == 0
+
 
 class TestRngStreams:
     def test_reproducible(self):

@@ -285,6 +285,12 @@ class TestMutations:
             mutate(c, rng, CTX, [0.0] * len(MUTATION_METHODS))
         with pytest.raises(ConfigurationError):
             mutate(c, rng, CTX, [1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        # rng.choice would raise ValueError on these
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                mutate(c, rng, CTX, [bad, 1.0, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="needs 6 values"):
+            mutate(c, rng, CTX, [1.0] * 5)
 
 
 class TestDeterminism:

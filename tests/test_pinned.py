@@ -81,6 +81,80 @@ def test_random_circuit_and_simulation_bits(gate_set, width):
     assert h.hexdigest() == DRAW_DIGESTS[gate_set, width]
 
 
+def _draw_digest(gate_set: str, width: int, make_rng) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rng = make_rng(seed)
+        for depth in DEPTHS:
+            c = random_circuit(width, depth, GATE_SETS[gate_set], rng)
+            h.update(serialize(c).encode())
+        h.update(rng.bytes(8))
+    return h.hexdigest()
+
+
+# sha256 over serialize(circuit) alone, drawn as for DRAW_DIGESTS, and the
+# generator's next 8 bytes. Drawing uses no BLAS, so these hold on every
+# CPU and under every OpenBLAS kernel.
+DRAW_ONLY_DIGESTS = {
+    ("full", 1): "c47c0be2b95ac352056fbe02a97d14cbdc310443a9f9989950b8749c8397528a",
+    ("full", 2): "3b5c9657868af09dde403931eaf711fa860213879728eba9385159c9bb5074b2",
+    ("full", 3): "5742142ee4fb8b7c4e6ef7f3992d25fa0dca2cdef54c939321d97ec05e665288",
+    ("full", 4): "0eafbd90717abe15c55f44a72c5442ab7d24c9df08a08b8c9be49cafdf3e70d0",
+    ("full", 5): "64db3e6abc1604dc7ee0bbd54b0e87472b707dd1578a236b16ab72f618b55526",
+    ("full", 6): "12b133c6d855253b54046f6e00d69b9cae126da60b7fb9c8cf1cb33b022a9a90",
+    ("pair_heavy", 1): "b846fbc81a9aa6a0647c9a9716af8d5c354ffe24f910ce9573d933576c495100",
+    ("pair_heavy", 2): "feb49140a62b73cf203e376098972949f220c86d670f432f70a04920e00f5a3c",
+    ("pair_heavy", 3): "edd28d8ebc6d1311547ba70d3c45dbc2ae4ad0bb241288aa9f5b41de1cba2b96",
+    ("pair_heavy", 4): "d66753c0e5c49ea83ef6b63da547cec24478724ead524ccedbbc3d2bcdf39a82",
+    ("pair_heavy", 5): "e6cef0d7ec5a02cc2ec18fd2de83ebcded6a01578849d76b5036ec293143fe34",
+    ("pair_heavy", 6): "c6d190a6cbb6c4df657d1df4da6d0627e58133b8dc36c51d4fa0a3afe3349c4a",
+    ("restricted", 1): "a66bf366708700c6f9cc3958f64b76d1dbd15366c356fc662fd3274aa6bfc411",
+    ("restricted", 2): "3e6984362230c3ef4acb11a437e60d20795b3de1c635891dba5a893ecd3535a8",
+    ("restricted", 3): "bae52cd06a97a45a9cb22485bcf6d2559b870988e72f37f781454a4eb21164a1",
+    ("restricted", 4): "664f20ab7a69a854beef75c4639dcf52f25e783036cb5cffd4d20bc499d9d210",
+    ("restricted", 5): "167bde28c86a760341884cd8a3d755ea4fb44f6d4676b9ce31cff8f0b0125cc1",
+    ("restricted", 6): "a07bb678f507a41669161b7c02960d688c584caa5ae2f54f03b0cb29fe17a53c",
+}
+
+
+@pytest.mark.parametrize("gate_set,width", sorted(DRAW_ONLY_DIGESTS))
+def test_random_circuit_draws(gate_set, width):
+    digest = _draw_digest(gate_set, width, np.random.default_rng)
+    assert digest == DRAW_ONLY_DIGESTS[gate_set, width]
+
+
+# the same over MT19937, whose draws random_circuit takes through numpy's
+# Generator methods
+MT19937_DRAW_DIGESTS = {
+    ("full", 1): "fdcdd96b1dd4a8e1d0177e2a4a0dcbf7fa0bae64f7b6862dc7ff15de52d04fba",
+    ("full", 2): "a655f20301d2a944358b73925d1bb4cd8f67854ee52082d59a926a7865271219",
+    ("full", 3): "74185fe382493312bb3121afa0243436a75bd15a435472ee7f707b3d631f02ca",
+    ("full", 4): "fdb8c00c1f72d90abd208257d4c8756dba58a28be1e36ad4378823aece97f7ce",
+    ("full", 5): "fbd9c3bbefb87dde40bb19d8d8dc672a8d5dfae711e15d1b9233a651438c9e55",
+    ("full", 6): "6c5bb71efde3c70d7175eda3b1ca60e04b9b1a27ef090b07774b27635056e7ac",
+    ("pair_heavy", 1): "7d352f60628a9f9ef676d9a5bb3313d5f61c8a3783c53f09f7c1b6b10d3f5e48",
+    ("pair_heavy", 2): "cd31dc8037fab62c1c1a4d79f43fc5cc25b5db2178cd5713bd4bef9b5daef9c9",
+    ("pair_heavy", 3): "d7edd5d733ccff550237789f39666b22e7c656cb5188314cf39a02c98cc45b5b",
+    ("pair_heavy", 4): "1127253b996ffcaaa2473bbc8fe0fc241f3f6507da37b99165f71161cb210c57",
+    ("pair_heavy", 5): "b29e731333bdef6fb003f39e8d264d152a38cda99bf0928028404c7723ccbf0b",
+    ("pair_heavy", 6): "776cd5f1e094c45578d8cfe55aac6b8555b6fc664fd74ffc03a49357d6892d1e",
+    ("restricted", 1): "5801c1bb2e9b321bca0f04c392d147d2fc0bdc56d34d62807cc46faa7e561989",
+    ("restricted", 2): "033f039e5b026900e514d2a4116ea7d36b0a36b01eb4c3b11e914b5f922f15c2",
+    ("restricted", 3): "97d7bd38a5b5f8498cbdfc962fc0f55e6aae75d87fa24a1cc60068a4beb7507b",
+    ("restricted", 4): "b7b6dcb0e44c2463872bc62b9843c22533aaea7ea5816cc94ab797482a91b1d3",
+    ("restricted", 5): "898073e0474883a256e2d41b3f88cacc2bb203cd06f08fe4e33b1aac862a7f8a",
+    ("restricted", 6): "edea20252a5af283183609e5666755572dcbceac5533fb7ed22a8e14e83a21a8",
+}
+
+
+@pytest.mark.parametrize("gate_set,width", sorted(MT19937_DRAW_DIGESTS))
+def test_random_circuit_draws_mt19937(gate_set, width):
+    digest = _draw_digest(
+        gate_set, width, lambda seed: np.random.Generator(np.random.MT19937(seed))
+    )
+    assert digest == MT19937_DRAW_DIGESTS[gate_set, width]
+
+
 def _parents(seed: int, gate_set: frozenset) -> list:
     """Pairs of circuits, some of unequal width or depth."""
     rng = np.random.default_rng(seed)

@@ -1,11 +1,13 @@
 """Property-based contracts of circuits, operators and the simulator.
 
 Circuits come from the program's seeded generator over drawn widths,
-depths, seeds and gate sets; the round trip also draws its angles.
+depths, seeds and gate sets; the round trip also draws its angles. The
+raw-word draws that build those circuits are checked against numpy's own.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from math import pi
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import simulate_oracle
 
 from qcevolve.circuit import (
     Circuit,
+    _PCG64Draws,
     Gate,
     Role,
     deserialize,
@@ -238,3 +241,78 @@ def test_stacked_run_gates_equals_per_row_runs(circuit, batch, seed):
     for row, state in zip(stacked, states):
         # bit for bit: the ML fitness scores a whole dataset in one stack
         assert row.tobytes() == run_gates(state.copy(), circuit).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# raw-word draws against numpy's Generator
+
+# the k <= 2**20 whose Lemire threshold 2**32 % k is largest: about one half
+# word in 4 100 is rejected and drawn again
+REJECTING_K = 1047553
+
+draw_ops = st.one_of(
+    st.tuples(
+        st.just("integers"),
+        st.integers(1, 2**20) | st.sampled_from([1, 2, 3, 5, 2**20, REJECTING_K]),
+    ),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("shuffle"), st.integers(0, 20)),
+)
+
+
+def _serve(ops, ref: np.random.Generator, draws: _PCG64Draws) -> None:
+    """Run `ops` on numpy's generator and on the raw-word draws; each pair
+    of results must be equal and of the type the circuit code uses."""
+    for op, *args in ops:
+        if op == "integers":
+            got, want = draws.integers(*args), ref.integers(*args)
+            assert type(got) is int and got == want
+        elif op == "random":
+            got, want = draws.random(), ref.random()
+            assert type(got) is float and got == want
+        elif op == "uniform":
+            got, want = draws.uniform(-pi, pi), ref.uniform(-pi, pi)
+            assert type(got) is float and got == want
+        else:
+            got, want = list(range(args[0])), list(range(args[0]))
+            draws.shuffle(got)
+            ref.shuffle(want)
+            assert got == want
+
+
+@given(
+    seeds,
+    st.none() | st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.lists(draw_ops, max_size=60),
+)
+def test_raw_word_draws_match_numpy(seed, buffered, block, ops):
+    """`buffered` is None for an empty half-word buffer, else the waiting
+    half word; `block` words are read at a time, so reads run short."""
+    ref = np.random.default_rng(seed)
+    if buffered is not None:
+        state = ref.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        ref.bit_generator.state = state
+    rng = np.random.default_rng()
+    rng.bit_generator.state = ref.bit_generator.state
+    with _PCG64Draws(rng, block) as draws:
+        _serve(ops, ref, draws)
+    # the state dict holds the buffer, and the spent half word that numpy
+    # leaves in `uinteger` once `has_uint32` is 0
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_raw_word_draws_redraw_rejected_half_words():
+    seed, n = 0, 4000
+    # n draws take every half of the first n / 2 words, and one of those
+    # is rejected
+    words = np.random.default_rng(seed).bit_generator.random_raw(n // 2)
+    halves = np.concatenate([words & 0xFFFFFFFF, words >> 32])
+    leftover = (halves * np.uint64(REJECTING_K)) & np.uint64(0xFFFFFFFF)
+    assert (leftover < 2**32 % REJECTING_K).any()
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with _PCG64Draws(rng, 64) as draws:
+        _serve([("integers", REJECTING_K)] * n, ref, draws)
+    assert rng.bit_generator.state == ref.bit_generator.state
