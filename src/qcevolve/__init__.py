@@ -32,7 +32,7 @@ from .fitness import (
     register_fitness,
 )
 from .gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind, gate_matrix
-from .operators import Individual, Population
+from .operators import Individual
 from .simulator import (
     apply_gate,
     fidelity,

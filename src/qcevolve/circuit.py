@@ -82,9 +82,6 @@ class Circuit:
     def depth(self) -> int:
         return len(self.grid[0]) if self.grid else 0
 
-    def cell(self, row: int, col: int) -> Gate:
-        return self.grid[row][col]
-
     def column(self, col: int) -> tuple[Gate, ...]:
         return tuple(self.grid[row][col] for row in range(self.n_qubits))
 
@@ -121,6 +118,8 @@ def validate(circuit: Circuit) -> None:
     n, m = circuit.n_qubits, circuit.depth
     if n < 1 or n > MAX_QUBITS:
         raise CircuitStructureError(f"n_qubits {n} out of range [1, {MAX_QUBITS}]")
+    if len(circuit.grid) != n:
+        raise CircuitStructureError(f"{len(circuit.grid)} rows for {n} qubits")
     if m < 1:
         raise CircuitStructureError("circuit has no columns")
     if any(len(row) != m for row in circuit.grid):

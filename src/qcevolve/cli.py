@@ -10,7 +10,7 @@ import signal
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .simulator import fidelity, simulate
 class ExperimentSpec:
     run_config: RunConfig
     fitness_name: str = "fidelity"
-    fitness_params: dict = None  # type: ignore[assignment]
+    fitness_params: dict = field(default_factory=dict)
     n_repeats: int = 1
     target_seeds: tuple[int, ...] = (0,)
     target_file: str | None = None
@@ -325,7 +325,7 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
 
 
 def _make_fitness(spec: ExperimentSpec, target: np.ndarray | None) -> FitnessFunction:
-    params = dict(spec.fitness_params or {})
+    params = dict(spec.fitness_params)
     args: tuple = ()
     if spec.fitness_name == "fidelity":
         ctor, args = FidelityFitness, (target,)

@@ -3,19 +3,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from numbers import Real
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, export_qasm, random_circuit
-from .errors import ConfigurationError, QcevolveError
-from .fitness import FitnessFunction, MLFitness
+from .circuit import MAX_QUBITS, Circuit, export_qasm, random_circuit, validate
+from .errors import CircuitStructureError, ConfigurationError, QcevolveError
+from .fitness import FitnessFunction
 from .gates import FULL_GATE_SET, GateKind
 from .operators import (
     Individual,
     MutationContext,
-    Population,
     check_mutation_weights,
     crossover_blockwise,
     crossover_multi_point,
@@ -141,17 +141,17 @@ def make_rng_streams(seed: int, labels: list[str]) -> dict[str, np.random.Genera
 
 
 def _select(
-    pop: Population,
+    members: list[Individual],
     count: int,
     method: str,
     cfg: RunConfig,
     rng: np.random.Generator,
 ) -> list[Individual]:
     if method == "random":
-        return select_random(pop, count, rng)
+        return select_random(members, count, rng)
     if method == "roulette":
-        return select_roulette(pop, count, rng)
-    return select_tournament(pop, count, cfg.tournament_size, rng)
+        return select_roulette(members, count, rng)
+    return select_tournament(members, count, cfg.tournament_size, rng)
 
 
 def _crossover(
@@ -169,38 +169,53 @@ def _crossover(
 
 
 class _Evaluator:
-    """Scores circuits; a Lamarckian fitness also returns the trained circuit.
+    """Scores circuits with `FitnessFunction.score`, which also returns the
+    circuit to keep (for a Lamarckian fitness, the trained one).
 
     `evaluate` goes through a memo keyed by the circuit passed to the
-    fitness (for a Lamarckian fitness, the untrained one), so a circuit the
-    memo holds is not scored again. `keep_only` bounds it to the entries of
-    the current population; between two calls it also holds that
-    generation's children, so at most population_size +
-    children_per_generation entries.
+    fitness, not the one kept, so a circuit the memo holds is not scored
+    again. `keep_only` bounds it to the entries of the current population;
+    between two calls it also holds that generation's children, so at most
+    population_size + children_per_generation entries.
     """
 
     def __init__(self, fitness_fn: FitnessFunction):
         self.fitness_fn = fitness_fn
-        self.lamarckian = isinstance(fitness_fn, MLFitness) and fitness_fn.lamarckian
         self.memo: dict[Circuit, Individual] = {}
 
     def score(self, circuit: Circuit) -> Individual:
-        """Run the fitness on `circuit`, bypassing the memo. A score that is
-        not a finite real number raises QcevolveError: selection cannot
-        rank it."""
-        if self.lamarckian:
-            score, trained = self.fitness_fn.evaluate_trained(circuit)
-        else:
-            score, trained = self.fitness_fn.evaluate(circuit), circuit
-        if not isinstance(score, Real) or not math.isfinite(score):
-            fn = self.fitness_fn
-            gates = " ".join(export_qasm(circuit).splitlines()[3:])
-            raise QcevolveError(
-                f"fitness '{fn.name}' ({type(fn).__name__}) returned {score!r}, "
-                f"not a finite real number, for the {circuit.n_qubits}x"
-                f"{circuit.depth} circuit: {gates}"
+        """Run the fitness on `circuit`, bypassing the memo. QcevolveError
+        unless it returns a pair of a finite real score, which selection
+        can rank, and `circuit` itself or a valid circuit of its shape."""
+        result = self.fitness_fn.score(circuit)
+        if not (isinstance(result, tuple) and len(result) == 2):
+            raise self._rejected(
+                circuit, f"{reprlib.repr(result)}, not a (score, circuit) pair"
             )
-        return Individual(trained, score)
+        score, kept = result
+        if not isinstance(score, Real) or not math.isfinite(score):
+            raise self._rejected(circuit, f"{score!r}, not a finite real number")
+        if kept is not circuit:
+            if not isinstance(kept, Circuit):
+                raise self._rejected(
+                    circuit, f"{reprlib.repr(kept)} as its circuit, not a Circuit"
+                )
+            if (kept.n_qubits, kept.depth) != (circuit.n_qubits, circuit.depth):
+                shape = f"{kept.n_qubits}x{kept.depth}"
+                raise self._rejected(circuit, f"a {shape} circuit, not one of its shape")
+            try:
+                validate(kept)
+            except CircuitStructureError as exc:
+                raise self._rejected(circuit, f"an invalid circuit ({exc})") from None
+        return Individual(kept, score)
+
+    def _rejected(self, circuit: Circuit, what: str) -> QcevolveError:
+        fn = self.fitness_fn
+        gates = " ".join(export_qasm(circuit).splitlines()[3:])
+        return QcevolveError(
+            f"fitness '{fn.name}' ({type(fn).__name__}) returned {what}, for the "
+            f"{circuit.n_qubits}x{circuit.depth} circuit: {gates}"
+        )
 
     def evaluate(self, circuit: Circuit) -> Individual:
         ind = self.memo.get(circuit)
@@ -232,7 +247,7 @@ def _survivors(
         # children listed first so stable sort prefers them on ties
         pool = _sorted_by_fitness(children + old_sorted[cfg.elitism :])
         return elites + pool[:rest_slots]
-    pool = Population(children + old_sorted[cfg.elitism :])
+    pool = children + old_sorted[cfg.elitism :]
     return elites + _select(pool, rest_slots, cfg.survivor_selection, cfg, rng)
 
 
@@ -261,14 +276,13 @@ def evolve(
         evaluator.evaluate(random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng))
         for _ in range(cfg.population_size)
     ]
-    pop = Population(members)
     trace = [_record(0, members)]
     best_ever = max(members, key=lambda ind: ind.fitness)
 
     for gen in range(1, cfg.generations + 1):
         children: list[Individual] = []
         while len(children) < cfg.children_per_generation:
-            pa, pb = _select(pop, 2, cfg.parent_selection, cfg, rng)
+            pa, pb = _select(members, 2, cfg.parent_selection, cfg, rng)
             if rng.random() < cfg.crossover_prob:
                 ca, cb = _crossover(pa.circuit, pb.circuit, cfg, rng)
             else:
@@ -279,9 +293,8 @@ def evolve(
                 if rng.random() < cfg.mutation_prob:
                     child = mutate(child, rng, ctx, cfg.mutation_weights)
                 children.append(evaluator.evaluate(child))
-        members = _survivors(pop.members, children, cfg, rng)
+        members = _survivors(members, children, cfg, rng)
         evaluator.keep_only(members)
-        pop = Population(members)
         gen_best = max(members, key=lambda ind: ind.fitness)
         if gen_best.fitness > best_ever.fitness:
             best_ever = gen_best

@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import simulator
 from .circuit import Circuit, Gate, theta_cells
 from .errors import ConfigurationError
 from .simulator import (
@@ -26,19 +27,28 @@ from .gates import GateKind
 
 
 class FitnessFunction:
-    """Base class: a Circuit -> float evaluator.
+    """Base class: `evolve` and `random_baseline` call only `score`.
 
-    It must be deterministic: `evolve` scores each distinct circuit once
-    while it is in the population or among the current generation's
-    children, and reuses that score for every equal circuit. `qcevolve run`
-    may call it for the random baseline in a forked child: state the
-    object keeps then records the baseline's calls only in the child.
+    `score(circuit)` returns (fitness, circuit to keep), by default
+    (self.evaluate(circuit), circuit). A fitness that overrides `score` may
+    keep another circuit in place of the input, as a Lamarckian fitness
+    keeps the circuit it trained; it must be valid, with the input's
+    n_qubits and depth. It must be deterministic: `evolve` scores each
+    distinct circuit once while it is in the population or among the
+    current generation's children, and reuses the result for every circuit
+    equal to the input, not to the circuit kept. `qcevolve run` may call it
+    for the random baseline in a forked child: state the object keeps then
+    records the baseline's calls only in the child.
     """
 
     name = "abstract"
 
     def evaluate(self, circuit: Circuit) -> float:
         raise NotImplementedError
+
+    def score(self, circuit: Circuit) -> tuple[float, Circuit]:
+        """(fitness, circuit to keep); see the class docstring."""
+        return self.evaluate(circuit), circuit
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
@@ -183,15 +193,9 @@ def _encode_features(n_qubits: int, features: np.ndarray) -> np.ndarray:
     return state
 
 
-def _run_from(state: np.ndarray, circuit: Circuit) -> np.ndarray:
-    from .simulator import run_gates
-
-    return run_gates(state, circuit)
-
-
 def _predictions(circuit: Circuit, encoded: np.ndarray) -> np.ndarray:
     """<Z_0> of the final state per encoded sample; label 0 iff it is >= 0."""
-    probs = np.abs(_run_from(encoded, circuit)) ** 2
+    probs = np.abs(simulator.run_gates(encoded, circuit)) ** 2
     signs = 1.0 - 2.0 * (np.arange(probs.shape[1]) & 1)
     # one dot per row: a single matrix product may sum in another order
     return np.array([np.dot(row, signs) for row in probs])
@@ -279,6 +283,11 @@ class MLFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         return self.evaluate_trained(circuit)[0]
 
+    def score(self, circuit: Circuit) -> tuple[float, Circuit]:
+        if self.lamarckian:
+            return self.evaluate_trained(circuit)
+        return super().score(circuit)
+
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
     ) -> None:
@@ -319,5 +328,5 @@ def registered_names() -> list[str]:
 
 
 register_fitness("fidelity", FidelityFitness)
-register_fitness("entanglement", lambda: EntanglementFitness())
+register_fitness("entanglement", EntanglementFitness)
 register_fitness("ml", MLFitness)

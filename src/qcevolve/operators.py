@@ -31,25 +31,20 @@ class Individual:
     fitness: float | None = None
 
 
-@dataclass
-class Population:
-    members: list[Individual]
-
-
 # ---------------------------------------------------------------------------
 # selection
 
 
 def select_random(
-    pop: Population, count: int, rng: np.random.Generator
+    members: list[Individual], count: int, rng: np.random.Generator
 ) -> list[Individual]:
     """Uniform selection with replacement; fitness is ignored."""
-    if not pop.members:
+    if not members:
         raise ValueError("population is empty")
     if count < 1:
         raise ValueError(f"count {count} must be >= 1")
-    idx = rng.integers(len(pop.members), size=count)
-    return [pop.members[i] for i in idx]
+    idx = rng.integers(len(members), size=count)
+    return [members[i] for i in idx]
 
 
 def _tournament_winner(
@@ -62,41 +57,41 @@ def _tournament_winner(
 
 
 def select_tournament(
-    pop: Population,
+    members: list[Individual],
     count: int,
     tournament_size: int,
     rng: np.random.Generator,
 ) -> list[Individual]:
     """Best-of-sample selection; sampling with replacement, ties random."""
-    if not pop.members:
+    if not members:
         raise ValueError("population is empty")
     if count < 1:
         raise ValueError(f"count {count} must be >= 1")
     if tournament_size < 1:
         raise ValueError(f"tournament_size {tournament_size} must be >= 1")
-    draws = rng.integers(len(pop.members), size=(count, tournament_size))
-    return [_tournament_winner(pop.members, row, rng) for row in draws]
+    draws = rng.integers(len(members), size=(count, tournament_size))
+    return [_tournament_winner(members, row, rng) for row in draws]
 
 
 def select_roulette(
-    pop: Population, count: int, rng: np.random.Generator
+    members: list[Individual], count: int, rng: np.random.Generator
 ) -> list[Individual]:
     """Fitness-proportionate selection on shifted weights."""
-    if not pop.members:
+    if not members:
         raise ValueError("population is empty")
     if count < 1:
         raise ValueError(f"count {count} must be >= 1")
-    if any(m.fitness is None for m in pop.members):
+    if any(m.fitness is None for m in members):
         raise ValueError("roulette selection requires evaluated fitness")
-    fits = np.array([m.fitness for m in pop.members], dtype=float)
+    fits = np.array([m.fitness for m in members], dtype=float)
     lo, hi = fits.min(), fits.max()
     # shift only negative fitness into range; a tiny floor keeps the
     # distribution valid when every weight lands on zero
     shift = -lo if lo < 0 else 0.0
     weights = fits + shift + 1e-9 * (hi - lo + 1.0)
     probs = weights / weights.sum()
-    idx = rng.choice(len(pop.members), size=count, p=probs)
-    return [pop.members[i] for i in idx]
+    idx = rng.choice(len(members), size=count, p=probs)
+    return [members[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,6 @@ class MutationContext:
     min_qubits: int = 1
     max_qubits: int = 20
     max_depth: int = 100
-    parameter_sigma: float = 0.1 * pi
 
 
 def mutate_single_gate_flip(
@@ -301,6 +295,9 @@ def mutate_swap_columns(
     return from_columns(circuit.n_qubits, cols)
 
 
+PARAMETER_SIGMA = 0.1 * pi  # standard deviation of mutate_parameter's jitter
+
+
 def mutate_parameter(
     circuit: Circuit, rng: np.random.Generator, ctx: MutationContext
 ) -> Circuit:
@@ -312,7 +309,7 @@ def mutate_parameter(
     g = circuit.grid[r][c]
     grid = [list(row) for row in circuit.grid]
     grid[r][c] = Gate(
-        g.kind, g.role, g.theta + float(rng.normal(0.0, ctx.parameter_sigma)), g.partner
+        g.kind, g.role, g.theta + float(rng.normal(0.0, PARAMETER_SIGMA)), g.partner
     )
     return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
 

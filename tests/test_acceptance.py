@@ -29,7 +29,6 @@ from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     Individual,
     MutationContext,
-    Population,
     crossover_blockwise,
     crossover_multi_point,
     crossover_single_point,
@@ -133,7 +132,7 @@ def test_criterion_3_operator_validity_and_conservation(report):
 def test_criterion_4_selection_statistics(report):
     rng = np.random.default_rng(11)
     circuit = random_circuit(2, 2, FULL_GATE_SET, rng)
-    pop = Population([Individual(circuit, 1.0), Individual(circuit, 3.0)])
+    pop = [Individual(circuit, 1.0), Individual(circuit, 3.0)]
     n = 100_000
 
     picked = select_roulette(pop, n, rng)

@@ -216,6 +216,10 @@ class TestValidate:
         assert str(exc.value) == message
         validate(repair(broken, rng))
 
+    def test_row_count_must_match_n_qubits(self):
+        with pytest.raises(CircuitStructureError, match="^3 rows for 2 qubits$"):
+            validate(Circuit(2, ((ID,),) * 3))
+
     def test_is_valid(self, rng):
         assert is_valid(random_circuit(2, 2, FULL_GATE_SET, rng))
         assert not is_valid(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcevolve import cli
-from qcevolve.circuit import deserialize
+from qcevolve.circuit import Circuit, deserialize, pad_to
 from qcevolve.cli import (
     emit_convergence_svg,
     emit_trace_csv,
@@ -268,21 +268,47 @@ class TestMainEntry:
 
     def test_non_finite_fitness_is_a_run_failure(self, tmp_path, capsys, monkeypatch):
         class NanFitness(FitnessFunction):
-            name = "nan_for_test"
+            name = "bad_for_test"
 
             def evaluate(self, circuit):
                 return float("nan")
 
-        monkeypatch.setitem(_REGISTRY, "nan_for_test", NanFitness)
+        def returning(make):
+            class BadReturnFitness(FitnessFunction):
+                name = "bad_for_test"
+
+                def score(self, circuit):
+                    return make(circuit)
+
+            return BadReturnFitness
+
+        cases = [
+            (NanFitness, "returned nan, not a finite real number"),
+            (returning(lambda c: 0.5), "returned 0.5, not a (score, circuit) pair"),
+            (returning(lambda c: (0.5, "c")), "returned 'c' as its circuit, not a Circuit"),
+            (
+                returning(lambda c: (0.5, pad_to(c, 3, 2))),
+                "returned a 3x2 circuit, not one of its shape",
+            ),
+            (
+                returning(lambda c: (0.5, Circuit(2, c.grid + c.grid[:1]))),
+                "returned an invalid circuit (3 rows for 2 qubits)",
+            ),
+        ]
         cfg = write_config(
             tmp_path,
-            "fitness = nan_for_test\nn_qubits = 2\ndepth = 2\n"
+            "fitness = bad_for_test\nn_qubits = 2\ndepth = 2\n"
             "population_size = 4\ngenerations = 1\n",
         )
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("run failed: fitness 'nan_for_test' (NanFitness)")
-        assert "returned nan" in err and "2x2 circuit" in err
+        for i, (fitness, returned) in enumerate(cases):
+            monkeypatch.setitem(_REGISTRY, "bad_for_test", fitness)
+            out = str(tmp_path / f"out{i}")
+            assert main(["run", str(cfg), "--out", out, "--quiet"]) == 1
+            err = capsys.readouterr().err
+            named = f"run failed: fitness 'bad_for_test' ({fitness.__name__}) "
+            assert err.startswith(named + returned)
+            assert ", for the 2x2 circuit: " in err
+            assert "Traceback" not in err
 
     def test_eval_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMOKE_CONFIG)

@@ -10,6 +10,8 @@ from qcevolve.circuit import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    from_columns,
+    pad_to,
     random_circuit,
     serialize,
     validate,
@@ -28,6 +30,7 @@ from qcevolve.fitness import (
     FidelityFitness,
     FitnessFunction,
     MLFitness,
+    entanglement_fitness,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.simulator import simulate
@@ -285,8 +288,58 @@ class TestRandomBaseline:
         assert t1 == t2
 
 
+class BadReturn:
+    """A whole return of `score`, made from the circuit scored. The engine
+    rejects it with "returned <match>, for the ... circuit"."""
+
+    def __init__(self, label, make, match):
+        self.label, self.make, self.match = label, make, match
+
+    def __repr__(self):
+        return self.label
+
+
+def _with_cell(circuit, gate):
+    grid = ((gate,) + circuit.grid[0][1:],) + circuit.grid[1:]
+    return Circuit(circuit.n_qubits, grid)
+
+
+NOT_A_PAIR = r"not a \(score, circuit\) pair"
+NOT_A_CIRCUIT = "as its circuit, not a Circuit"
+BAD_RETURNS = [
+    BadReturn("returns-0.5", lambda c: 0.5, f"0.5, {NOT_A_PAIR}"),
+    BadReturn("returns-None", lambda c: None, f"None, {NOT_A_PAIR}"),
+    BadReturn("returns-list", lambda c: [0.5, c], rf"\[0.5, .*\], {NOT_A_PAIR}"),
+    BadReturn("returns-triple", lambda c: (0.5, c, c), rf"\(0.5, .*\), {NOT_A_PAIR}"),
+    BadReturn("returns-no-circuit", lambda c: (0.5, None), f"None {NOT_A_CIRCUIT}"),
+    BadReturn("returns-serialized", lambda c: (0.5, serialize(c)), f".* {NOT_A_CIRCUIT}"),
+    BadReturn(
+        "returns-wider",
+        lambda c: (0.5, pad_to(c, c.n_qubits + 1, c.depth)),
+        r"a 3x\d+ circuit, not one of its shape",
+    ),
+    BadReturn(
+        "returns-deeper",
+        lambda c: (0.5, pad_to(c, c.n_qubits, c.depth + 1)),
+        r"a 2x\d+ circuit, not one of its shape",
+    ),
+    BadReturn(
+        "returns-extra-row",
+        lambda c: (0.5, Circuit(c.n_qubits, c.grid + c.grid[:1])),
+        r"an invalid circuit \(3 rows for 2 qubits\)",
+    ),
+    BadReturn(
+        "returns-invalid",
+        lambda c: (0.5, _with_cell(c, Gate(GateKind.RX))),
+        r"an invalid circuit \(cell \(0, 0\): theta must be present iff "
+        r"gate is parameterized\)",
+    ),
+]
+
+
 class ScriptedFitness(FitnessFunction):
-    """Scores 0.5 until the `bad_at`-th call, which returns `bad`."""
+    """Scores 0.5 until the `bad_at`-th call, which returns `bad`; a
+    BadReturn replaces that call's whole `score` return."""
 
     name = "scripted"
 
@@ -297,9 +350,16 @@ class ScriptedFitness(FitnessFunction):
         self.calls += 1
         return self.bad if self.calls == self.bad_at else 0.5
 
+    def score(self, circuit):
+        value, kept = super().score(circuit)
+        if isinstance(value, BadReturn):
+            return value.make(circuit)
+        return value, kept
+
 
 class TestScoreChecks:
     BAD = [float("nan"), float("inf"), -float("inf"), np.nan, 0.5 + 0j, "0.5", None]
+    BAD += BAD_RETURNS  # each a whole `score` return
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     @pytest.mark.parametrize(
@@ -309,15 +369,22 @@ class TestScoreChecks:
         cfg = small_config(parent_selection=parents, survivor_selection=survivors)
         fn = ScriptedFitness(bad)
         named = r"fitness 'scripted' \(ScriptedFitness\)"
-        with pytest.raises(QcevolveError, match=named):
+        message = rf"{named} {self.returned(bad)}, for the 2x\d+ circuit: "
+        with pytest.raises(QcevolveError, match=message):
             evolve(cfg, fn, np.random.default_rng(0))
         assert fn.calls == fn.bad_at
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_rejected_in_baseline(self, bad):
-        message = r"returned .*, not a finite real number, for the 2x3 circuit: "
+        message = rf"{self.returned(bad)}, for the 2x3 circuit: "
         with pytest.raises(QcevolveError, match=message):
             random_baseline(small_config(), ScriptedFitness(bad), np.random.default_rng(0))
+
+    @staticmethod
+    def returned(bad):
+        """The part of the error message that names what `score` returned."""
+        what = bad.match if isinstance(bad, BadReturn) else ".*, not a finite real number"
+        return f"returned {what}"
 
     @pytest.mark.parametrize("good", [np.float32(0.25), np.int64(1), 0, True], ids=repr)
     def test_real_numbers_accepted(self, good):
@@ -411,6 +478,42 @@ class TestFitnessMemo:
         assert evaluator.evaluate(Circuit(2, untrained.grid)) is first
         assert len(inputs) == 2
 
+    def test_circuit_from_score_is_kept_and_memo_keyed_by_input(self, monkeypatch):
+        events, _ = self.record(monkeypatch)
+
+        def reversed_columns(circuit):
+            return from_columns(circuit.n_qubits, list(zip(*circuit.grid))[::-1])
+
+        class Reversing(FitnessFunction):
+            """Not Lamarckian: keeps the input with its columns reversed."""
+
+            def score(self, circuit):
+                kept = reversed_columns(circuit)
+                return entanglement_fitness(kept), kept
+
+        evolve(small_config(generations=4), Reversing(), np.random.default_rng(3))
+        assert len(events) == 4
+        for _, members, memo in events:
+            assert {id(ind) for ind in memo.values()} == {id(ind) for ind in members}
+            assert all(ind.circuit == reversed_columns(c) for c, ind in memo.items())
+            assert any(ind.circuit != c for c, ind in memo.items())
+
+    def test_baseline_uses_only_score(self):
+        class ScoreOnly(FitnessFunction):
+            calls = 0
+
+            def evaluate(self, circuit):
+                raise AssertionError("evaluate called")
+
+            def score(self, circuit):
+                self.calls += 1
+                return float(self.calls), circuit
+
+        fn = ScoreOnly()
+        trace = random_baseline(small_config(generations=3), fn, np.random.default_rng(0))
+        assert fn.calls == 10 + 3 * 9
+        assert trace == [10.0, 19.0, 28.0, 37.0]
+
     def test_baseline_scores_every_draw(self, monkeypatch):
         monkeypatch.setattr(
             engine, "random_circuit", lambda *args: bell_circuit()
@@ -469,11 +572,26 @@ class TestFitnessMemo:
         run = evolve(cfg, FidelityFitness(target), np.random.default_rng(7))
         assert self.summary(*run) == self.FIDELITY_RUN
 
-    def test_lamarckian_ml_run_matches_recorded(self):
+    def ml_run(self, wrap=lambda fn: fn, **ml_params):
         ds = Dataset(
             np.array([[0.1, 0.1], [0.9, 0.9], [0.1, 0.9], [0.9, 0.1], [0.5, 0.2], [0.3, 0.7]]),
             np.array([0, 0, 1, 1, 0, 1]),
         )
         cfg = RunConfig(population_size=6, generations=4, n_qubits=2, depth=3)
-        run = evolve(cfg, MLFitness(ds, train_steps=1), np.random.default_rng(3))
-        assert self.summary(*run) == self.ML_RUN
+        fn = wrap(MLFitness(ds, train_steps=1, **ml_params))
+        return self.summary(*evolve(cfg, fn, np.random.default_rng(3)))
+
+    def test_lamarckian_ml_run_matches_recorded(self):
+        assert self.ml_run() == self.ML_RUN
+
+    def test_wrapper_forwarding_score_stays_lamarckian(self):
+        class Wrapper(FitnessFunction):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def score(self, circuit):
+                return self.inner.score(circuit)
+
+        assert self.ml_run(Wrapper) == self.ML_RUN
+        assert self.ml_run(Wrapper, lamarckian=False) == self.ml_run(lamarckian=False)
+        assert self.ml_run(lamarckian=False) != self.ML_RUN

@@ -166,6 +166,15 @@ class TestMLFitness:
                 ]
                 assert np.array_equal(_predictions(c, encoded), np.array(expected))
 
+    def test_score_keeps_the_trained_circuit_only_when_lamarckian(self):
+        ds = separable_dataset()
+        c = rx_rz_circuit(0.4, 0.1)
+        trained = ml_fitness_trained(c, ds, train_steps=3)
+        assert MLFitness(ds, train_steps=3).score(c) == trained
+        plain = MLFitness(ds, train_steps=3, lamarckian=False).score(c)
+        assert plain[0] == trained[0]
+        assert plain[1] is c
+
 
 class TestDataset:
     def test_load_csv(self, tmp_path):

@@ -14,7 +14,6 @@ from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.operators import (
     Individual,
     MutationContext,
-    Population,
     crossover_blockwise,
     crossover_multi_point,
     crossover_single_point,
@@ -35,10 +34,7 @@ CTX = MutationContext(gate_set=FULL_GATE_SET, min_qubits=1, max_qubits=5, max_de
 
 
 def make_pop(fitnesses, rng):
-    members = [
-        Individual(random_circuit(2, 2, FULL_GATE_SET, rng), f) for f in fitnesses
-    ]
-    return Population(members)
+    return [Individual(random_circuit(2, 2, FULL_GATE_SET, rng), f) for f in fitnesses]
 
 
 def non_id_multiset(circuit):
@@ -55,7 +51,7 @@ class TestSelectRandom:
     def test_population_of_one(self, rng):
         pop = make_pop([0.5], rng)
         picked = select_random(pop, 3, rng)
-        assert picked == [pop.members[0]] * 3
+        assert picked == [pop[0]] * 3
 
     def test_count_zero_rejected(self, rng):
         with pytest.raises(ValueError):
