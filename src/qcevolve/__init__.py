@@ -25,10 +25,7 @@ from .fitness import (
     FidelityFitness,
     FitnessFunction,
     MLFitness,
-    entanglement_fitness,
-    fidelity_fitness,
     load_dataset,
-    ml_fitness,
     register_fitness,
 )
 from .gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind, gate_matrix

@@ -3,6 +3,7 @@ and artifact output (CSV traces, circuit documents, QASM, SVG plot)."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import inspect
 import os
 import pickle
@@ -24,12 +25,7 @@ from .engine import (
     random_baseline,
 )
 from .errors import ConfigurationError, ParseError, QcevolveError
-from .fitness import (
-    FidelityFitness,
-    FitnessFunction,
-    get_fitness_constructor,
-    load_dataset,
-)
+from .fitness import FitnessFunction, get_fitness_constructor, load_dataset
 from .gates import FULL_GATE_SET, parse_gate_set
 from .simulator import fidelity, simulate
 
@@ -55,8 +51,13 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value}")
 
 
-def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+def _parse_target_seeds(value: str) -> tuple[int, ...]:
+    seeds = tuple(int(v.strip()) for v in value.split(",") if v.strip())
+    if not seeds:
+        raise ValueError("names no seed")
+    if min(seeds) < 0:
+        raise ValueError(f"seed {min(seeds)} is negative")
+    return seeds
 
 
 def _parse_float_list(value: str) -> tuple[float, ...]:
@@ -95,7 +96,7 @@ _FITNESS_KEYS = {
 }
 _EXPERIMENT_KEYS = {
     "n_repeats": int,
-    "target_seeds": _parse_int_list,
+    "target_seeds": _parse_target_seeds,
     "target_file": str,
     "target_gate_set": parse_gate_set,
     "output_dir": str,
@@ -169,7 +170,11 @@ def write_statevector(state: np.ndarray, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+_NORM_TOLERANCE = 1e-6  # a target's squared norm may differ from 1 by this
+
+
 def read_statevector(path: str | Path) -> np.ndarray:
+    """One `re im` pair per line; finite, with a squared norm of 1."""
     amps = []
     for line_no, line in enumerate(_read_input(path).splitlines(), start=1):
         line = line.strip()
@@ -179,13 +184,21 @@ def read_statevector(path: str | Path) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"{path}:{line_no}: expected 're im'")
         try:
-            amps.append(complex(float(parts[0]), float(parts[1])))
+            amp = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ParseError(f"{path}:{line_no}: not numeric") from None
+        if not cmath.isfinite(amp):
+            raise ParseError(f"{path}:{line_no}: amplitude is not finite")
+        amps.append(amp)
     state = np.array(amps, dtype=complex)
     n = int(np.log2(len(state))) if len(state) else 0
     if len(state) == 0 or 2**n != len(state):
         raise ParseError(f"{path}: amplitude count {len(state)} is not a power of two")
+    norm = float(np.vdot(state, state).real)
+    if abs(norm - 1.0) > _NORM_TOLERANCE:
+        raise ParseError(
+            f"{path}: squared norm {norm:.17g} is not within {_NORM_TOLERANCE:g} of 1"
+        )
     return state
 
 
@@ -324,22 +337,22 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
     return targets
 
 
-def _make_fitness(spec: ExperimentSpec, target: np.ndarray | None) -> FitnessFunction:
+def _make_fitness(
+    spec: ExperimentSpec, cfg: RunConfig, target: np.ndarray | None
+) -> FitnessFunction:
+    """The spec's fitness; `cfg` is its resolved run config."""
+    ctor = get_fitness_constructor(spec.fitness_name)
     params = dict(spec.fitness_params)
-    args: tuple = ()
     if spec.fitness_name == "fidelity":
-        ctor, args = FidelityFitness, (target,)
-        params["max_depth"] = spec.run_config.resolved().max_depth
-    else:
-        ctor = get_fitness_constructor(spec.fitness_name)
+        params.update(target=target, max_depth=cfg.max_depth)
     try:
         # names a key the constructor does not take, or one it needs
-        inspect.signature(ctor).bind(*args, **params)
+        inspect.signature(ctor).bind(**params)
     except TypeError as exc:
         raise ConfigurationError(f"fitness '{spec.fitness_name}': {exc}") from None
     if spec.fitness_name == "ml":
         params["dataset"] = load_dataset(params["dataset"])
-    return ctor(*args, **params)
+    return ctor(**params)
 
 
 def _usable_cpus() -> int:
@@ -453,7 +466,7 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
     run_index = 0
     for t_idx, (target_name, target) in enumerate(targets):
-        fitness_fn = _make_fitness(spec, target)
+        fitness_fn = _make_fitness(spec, cfg, target)
         for rep in range(spec.n_repeats):
             label = f"t{t_idx}r{rep}"
             streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])

@@ -90,6 +90,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"survivor_selection must be one of {SURVIVOR_METHODS}"
             )
+        if cfg.crossover_points < 1:
+            raise ConfigurationError("crossover_points must be >= 1")
         if cfg.tournament_size < 1:
             raise ConfigurationError("tournament_size must be >= 1")
         if not 1 <= cfg.min_qubits <= cfg.n_qubits <= cfg.max_qubits:

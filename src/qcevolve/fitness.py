@@ -6,7 +6,7 @@ become selectable from the property file like the built-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import Callable
 
 import numpy as np
@@ -73,26 +73,37 @@ class Dataset:
 
 
 def load_dataset(path: str) -> Dataset:
-    """CSV: one sample per line, features then a 0/1 label; optional header."""
+    """CSV: one sample per line, its features then a label of 0 or 1; `#`
+    lines are comments. The first other line may be a header. Every sample
+    has the first one's width and finite values; a line that breaks this is
+    a ConfigurationError naming it."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
+    numbered = [(no, line.strip()) for no, line in enumerate(lines, start=1)]
+    content = [(no, line) for no, line in numbered if line and not line.startswith("#")]
+    rows: list[list[float]] = []
+    for i, (line_no, line) in enumerate(content):
+        where = f"{path}:{line_no}"
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in line.split(",")]
         except ValueError:
-            if line_no == 1:
+            if i == 0:
                 continue  # header line
+            raise ConfigurationError(f"{where}: not a numeric sample") from None
+        if rows and len(row) != len(rows[0]):
             raise ConfigurationError(
-                f"{path}:{line_no}: not a numeric sample"
-            ) from None
+                f"{where}: {len(row)} values, but the first sample has {len(rows[0])}"
+            )
+        if len(row) < 2:
+            raise ConfigurationError(f"{where}: a sample needs features and a label")
+        if not all(map(isfinite, row)):
+            raise ConfigurationError(f"{where}: values must be finite")
+        if row[-1] not in (0.0, 1.0):
+            raise ConfigurationError(f"{where}: label {row[-1]:g} is not 0 or 1")
+        rows.append(row)
     if not rows:
         raise ConfigurationError(f"{path}: no samples")
     data = np.array(rows)
@@ -103,64 +114,58 @@ def load_dataset(path: str) -> Dataset:
 # built-in objectives
 
 
-def fidelity_fitness(
-    circuit: Circuit,
-    target: np.ndarray,
-    depth_weight: float = 0.0,
-    max_depth: int = 100,
-) -> float:
-    """Fidelity to `target`, minus an optional linear depth penalty."""
-    if 2**circuit.n_qubits != len(target):
-        raise ConfigurationError(
-            f"circuit has {circuit.n_qubits} qubits but target has "
-            f"{n_qubits_of(target)}"
-        )
-    score = fidelity(simulate(circuit), target)
-    if depth_weight:
-        score -= depth_weight * circuit.depth / max_depth
-    return score
-
-
-def entanglement_fitness(circuit: Circuit) -> float:
-    """Mean single-qubit marginal entropy; 1.0 for Bell/GHZ-like states."""
-    if circuit.n_qubits < 2:
-        raise ConfigurationError("entanglement fitness needs at least 2 qubits")
-    state = simulate(circuit)
-    entropies = [
-        von_neumann_entropy(partial_trace(state, {k}))
-        for k in range(circuit.n_qubits)
-    ]
-    return float(np.mean(entropies))
+def _check_finite(setting: str, value: float) -> None:
+    if not isfinite(value):
+        raise ConfigurationError(f"{setting} must be finite, got {value}")
 
 
 class FidelityFitness(FitnessFunction):
+    """Fidelity to `target`, minus `depth_weight * depth / max_depth`."""
+
     name = "fidelity"
 
     def __init__(self, target: np.ndarray, depth_weight: float = 0.0, max_depth: int = 100):
+        try:
+            self.width = n_qubits_of(target)
+        except ValueError as exc:
+            raise ConfigurationError(f"fidelity target: {exc}") from None
+        _check_finite("depth_weight", depth_weight)
         self.target = target
         self.depth_weight = depth_weight
         self.max_depth = max_depth
 
     def evaluate(self, circuit: Circuit) -> float:
-        return fidelity_fitness(circuit, self.target, self.depth_weight, self.max_depth)
+        n = circuit.n_qubits
+        self.check_qubit_bounds(n, n, n)
+        score = fidelity(simulate(circuit), self.target)
+        if self.depth_weight:
+            score -= self.depth_weight * circuit.depth / self.max_depth
+        return score
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
     ) -> None:
-        width = n_qubits_of(self.target)
-        if not min_qubits == n_qubits == max_qubits == width:
+        if not min_qubits == n_qubits == max_qubits == self.width:
             raise ConfigurationError(
                 "fidelity fitness needs min_qubits == n_qubits == max_qubits "
-                f"== {width} (the target width), got {min_qubits}, {n_qubits}, "
-                f"{max_qubits}"
+                f"== {self.width} (the target width), got {min_qubits}, "
+                f"{n_qubits}, {max_qubits}"
             )
 
 
 class EntanglementFitness(FitnessFunction):
+    """Mean single-qubit marginal entropy; 1.0 for Bell/GHZ-like states."""
+
     name = "entanglement"
 
     def evaluate(self, circuit: Circuit) -> float:
-        return entanglement_fitness(circuit)
+        n = circuit.n_qubits
+        self.check_qubit_bounds(n, n, n)
+        state = simulate(circuit)
+        entropies = [
+            von_neumann_entropy(partial_trace(state, {k})) for k in range(n)
+        ]
+        return float(np.mean(entropies))
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
@@ -173,6 +178,8 @@ class EntanglementFitness(FitnessFunction):
 
 # ---------------------------------------------------------------------------
 # machine-learning fitness
+
+FD_STEP = 1e-3  # step of the central finite differences in MLFitness training
 
 
 def _with_thetas(
@@ -211,61 +218,10 @@ def _mse_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean((predictions - signed) ** 2))
 
 
-def ml_fitness(
-    circuit: Circuit,
-    dataset: Dataset,
-    train_steps: int = 100,
-    learning_rate: float = 0.2,
-) -> float:
-    """Training accuracy after finite-difference gradient descent."""
-    score, _ = ml_fitness_trained(circuit, dataset, train_steps, learning_rate)
-    return score
-
-
-def ml_fitness_trained(
-    circuit: Circuit,
-    dataset: Dataset,
-    train_steps: int = 100,
-    learning_rate: float = 0.2,
-    fd_step: float = 1e-3,
-) -> tuple[float, Circuit]:
-    """Train the rotation angles; return (accuracy, trained circuit).
-
-    Central finite differences and plain gradient descent on the
-    mean-squared error of the <Z_0> predictor against +-1 labels.
-    The input circuit is never modified.
-    """
-    if dataset.features.shape[1] > circuit.n_qubits:
-        raise ConfigurationError(
-            f"{dataset.features.shape[1]} features exceed {circuit.n_qubits} qubits"
-        )
-    # (n_samples, 2**n) stack; the encoding does not depend on the angles
-    encoded = np.array(
-        [_encode_features(circuit.n_qubits, x) for x in dataset.features]
-    )
-    cells = theta_cells(circuit)
-    if not cells or train_steps == 0:
-        return _accuracy(_predictions(circuit, encoded), dataset.labels), circuit
-    thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
-
-    def loss(vec: np.ndarray) -> float:
-        trial = _with_thetas(circuit, cells, vec)
-        return _mse_loss(_predictions(trial, encoded), dataset.labels)
-
-    for _ in range(train_steps):
-        grad = np.empty_like(thetas)
-        for i in range(len(thetas)):
-            up = thetas.copy()
-            up[i] += fd_step
-            down = thetas.copy()
-            down[i] -= fd_step
-            grad[i] = (loss(up) - loss(down)) / (2 * fd_step)
-        thetas = thetas - learning_rate * grad
-    trained = _with_thetas(circuit, cells, thetas)
-    return _accuracy(_predictions(trained, encoded), dataset.labels), trained
-
-
 class MLFitness(FitnessFunction):
+    """Training accuracy of the <Z_0> classifier after `train_steps` steps
+    of gradient descent on the rotation angles."""
+
     name = "ml"
 
     def __init__(
@@ -275,6 +231,9 @@ class MLFitness(FitnessFunction):
         learning_rate: float = 0.2,
         lamarckian: bool = True,
     ):
+        if train_steps < 0:
+            raise ConfigurationError(f"train_steps must be >= 0, got {train_steps}")
+        _check_finite("learning_rate", learning_rate)
         self.dataset = dataset
         self.train_steps = train_steps
         self.learning_rate = learning_rate
@@ -299,9 +258,37 @@ class MLFitness(FitnessFunction):
             )
 
     def evaluate_trained(self, circuit: Circuit) -> tuple[float, Circuit]:
-        return ml_fitness_trained(
-            circuit, self.dataset, self.train_steps, self.learning_rate
-        )
+        """Train the rotation angles; return (accuracy, trained circuit).
+
+        Central finite differences and plain gradient descent on the
+        mean-squared error of the <Z_0> predictor against +-1 labels.
+        The input circuit is never modified.
+        """
+        n = circuit.n_qubits
+        self.check_qubit_bounds(n, n, n)
+        labels = self.dataset.labels
+        # (n_samples, 2**n) stack; the encoding does not depend on the angles
+        encoded = np.array([_encode_features(n, x) for x in self.dataset.features])
+        cells = theta_cells(circuit)
+        if not cells or self.train_steps == 0:
+            return _accuracy(_predictions(circuit, encoded), labels), circuit
+        thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
+
+        def loss(vec: np.ndarray) -> float:
+            trial = _with_thetas(circuit, cells, vec)
+            return _mse_loss(_predictions(trial, encoded), labels)
+
+        for _ in range(self.train_steps):
+            grad = np.empty_like(thetas)
+            for i in range(len(thetas)):
+                up = thetas.copy()
+                up[i] += FD_STEP
+                down = thetas.copy()
+                down[i] -= FD_STEP
+                grad[i] = (loss(up) - loss(down)) / (2 * FD_STEP)
+            thetas = thetas - self.learning_rate * grad
+        trained = _with_thetas(circuit, cells, thetas)
+        return _accuracy(_predictions(trained, encoded), labels), trained
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +308,6 @@ def get_fitness_constructor(name: str) -> Callable[..., FitnessFunction]:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigurationError(f"unknown fitness '{name}' (known: {known})")
     return _REGISTRY[name]
-
-
-def registered_names() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 register_fitness("fidelity", FidelityFitness)

@@ -25,8 +25,8 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def n_qubits_of(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
+    n = len(state).bit_length() - 1
+    if n < 0 or 2**n != len(state):
         raise ValueError(f"statevector length {len(state)} is not a power of two")
     return n
 

@@ -21,9 +21,7 @@ from qcevolve.fitness import (
     Dataset,
     EntanglementFitness,
     FidelityFitness,
-    entanglement_fitness,
-    ml_fitness,
-    ml_fitness_trained,
+    MLFitness,
 )
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
@@ -78,7 +76,7 @@ def test_criterion_2_quantum_information_unit_values(report):
     assert abs(f - 1.0) < 1e-12
     entropy = von_neumann_entropy(partial_trace(simulate(bell_circuit()), {0}))
     assert abs(entropy - 1.0) < 1e-9
-    ghz = entanglement_fitness(ghz3_circuit())
+    ghz = EntanglementFitness().evaluate(ghz3_circuit())
     assert abs(ghz - 1.0) < 1e-9
     report(2, f"bell fidelity {f:.15f}, marginal entropy {entropy:.12f}, ghz {ghz:.12f}")
 
@@ -243,25 +241,24 @@ def test_criterion_9_ml_fitness_sanity(report):
         ),
     )
     # grid-search oracle: this ansatz admits >= 0.9 training accuracy
+    untrained_fitness = MLFitness(dataset, train_steps=0)
     oracle_best = max(
-        ml_fitness(
+        untrained_fitness.evaluate(
             Circuit(
                 2,
                 (
                     (Gate(GateKind.RX, theta=float(t)), Gate(GateKind.RZ, theta=0.1)),
                     (Gate(GateKind.ID), Gate(GateKind.ID)),
                 ),
-            ),
-            dataset,
-            train_steps=0,
+            )
         )
         for t in np.linspace(-np.pi, np.pi, 61)
     )
     assert oracle_best >= 0.9
-    untrained = ml_fitness(circuit, dataset, train_steps=0)
-    trained, _ = ml_fitness_trained(
-        circuit, dataset, train_steps=100, learning_rate=0.5
-    )
+    untrained = untrained_fitness.evaluate(circuit)
+    trained, _ = MLFitness(
+        dataset, train_steps=100, learning_rate=0.5
+    ).evaluate_trained(circuit)
     assert trained >= untrained
     assert trained >= 0.9
     report(9, f"untrained {untrained:.3f} -> trained {trained:.3f}, oracle {oracle_best:.3f}")

@@ -1,4 +1,5 @@
 
+import json
 import os
 import signal
 import sys
@@ -7,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from qcevolve import cli
-from qcevolve.circuit import Circuit, deserialize, pad_to
+from qcevolve import cli, engine
+from qcevolve.circuit import Circuit, Gate, deserialize, pad_to, serialize
 from qcevolve.cli import (
     emit_convergence_svg,
     emit_trace_csv,
@@ -21,7 +22,7 @@ from qcevolve.cli import (
 from qcevolve.engine import GenerationRecord
 from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.fitness import _REGISTRY, FitnessFunction
-from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET
+from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 
 
 def write_config(tmp_path, text, name="run.properties"):
@@ -379,6 +380,192 @@ class TestUnreadableInputs:
         )
         err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
         assert "'depth_weight'" in err
+
+
+SMALL_RUN = "n_qubits = 2\ndepth = 2\npopulation_size = 4\ngenerations = 1\n"
+ML = "fitness = ml\ndataset = {data}\n"
+
+# Property-file lines that `run` must reject before it draws a search
+# circuit: (lines, fragments of the message)
+BAD_SETTINGS = {
+    "no target seed": (
+        "target_seeds = ,\n",
+        ["run.properties:5: bad value for 'target_seeds': names no seed"],
+    ),
+    "negative target seed": (
+        "target_seeds = 3, -1\n",
+        ["run.properties:5: bad value for 'target_seeds': seed -1 is negative"],
+    ),
+    "nan depth_weight": ("depth_weight = nan\n", ["depth_weight must be finite, got nan"]),
+    "negative crossover_points": (
+        "crossover_method = multi_point\ncrossover_points = -3\n",
+        ["run.properties", "crossover_points must be >= 1"],
+    ),
+    "not a boolean": (
+        ML + "lamarckian = maybe\n",
+        ["run.properties:7: bad value for 'lamarckian': not a boolean: maybe"],
+    ),
+    "nan learning_rate": (ML + "learning_rate = nan\n", ["learning_rate must be finite, got nan"]),
+    "inf learning_rate": (ML + "learning_rate = inf\n", ["learning_rate must be finite, got inf"]),
+    "negative train_steps": (ML + "train_steps = -2\n", ["train_steps must be >= 0, got -2"]),
+    "no repeats": ("n_repeats = 0\n", ["run.properties", "n_repeats must be >= 1"]),
+    "seeds and a file": (
+        "target_seeds = 1\ntarget_file = {target}\n",
+        ["run.properties", "target_seeds and target_file are mutually exclusive"],
+    ),
+}
+
+# dataset CSV text -> fragments of the message
+BAD_DATASETS = {
+    "ragged row": ("0.1,0.2,0\n0.3,1\n", ["data.csv:2: 2 values, but the first sample has 3"]),
+    "fractional label": ("0.1,0.2,0\n0.3,0.4,0.5\n", ["data.csv:2: label 0.5 is not 0 or 1"]),
+    "nan feature": ("0.1,0.2,0\nnan,0.4,1\n", ["data.csv:2: values must be finite"]),
+    "inf feature": ("# samples\n0.1,inf,0\n", ["data.csv:2: values must be finite"]),
+    "label only": ("0\n1\n", ["data.csv:1: a sample needs features and a label"]),
+    "header only": ("# comment\nf1,f2,label\n", ["data.csv: no samples"]),
+    "second header": ("f1,f2,label\n0.1,0.2,0\nf1,f2\n", ["data.csv:3: not a numeric sample"]),
+}
+
+# target statevector text -> fragments of the message
+BAD_TARGETS = {
+    "nan amplitude": ("1 0\nnan 0\n0 0\n0 0\n", ["target.txt:2: amplitude is not finite"]),
+    "norm 4": ("2 0\n0 0\n0 0\n0 0\n", ["target.txt: squared norm 4 is not within 1e-06 of 1"]),
+    "norm off by 1e-5": ("1.00001 0\n0 0\n0 0\n0 0\n", ["squared norm 1.0000200001"]),
+    "three fields": ("1 0 0\n0 0\n", ["target.txt:1: expected 're im'"]),
+    "not numeric": ("1 0\nzero zero\n", ["target.txt:2: not numeric"]),
+    "three amplitudes": ("1 0\n0 0\n0 0\n", ["target.txt: amplitude count 3 is not"]),
+}
+
+
+def one_qubit_doc(**changes):
+    """A 1x1 circuit document (an X gate) with top-level fields changed;
+    a field changed to None is left out."""
+    doc = json.loads(serialize(Circuit(1, ((Gate(GateKind.X),),))))
+    doc.update(changes)
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+def one_cell_doc(**cell):
+    return one_qubit_doc(cells=[[cell]])
+
+
+# circuit document -> fragment of the message
+BAD_DOCUMENTS = {
+    "not json": ("{", "invalid document"),
+    "not an object": ("[1]", "document root must be an object"),
+    "unknown version": (one_qubit_doc(format_version=99), "unsupported format_version 99"),
+    "missing field": (one_qubit_doc(cells=None), "missing field 'cells'"),
+    "zero qubits": (one_qubit_doc(n_qubits=0), "n_qubits and depth must be positive integers"),
+    "rows": (one_qubit_doc(cells=[]), "cells must hold 1 rows"),
+    "cells": (one_qubit_doc(cells=[[]]), "row 0 must hold 1 cells"),
+    "cell": (one_qubit_doc(cells=[["x"]]), "cells[0][0]: cell must be an object"),
+    "kind": (one_cell_doc(kind="toffoli"), "cells[0][0]: unknown gate kind"),
+    "role": (one_cell_doc(kind="x", role="boss"), "cells[0][0]: unknown role"),
+    "theta": (one_cell_doc(kind="rx", theta="pi"), "cells[0][0]: theta must be a number"),
+    "partner": (one_cell_doc(kind="x", partner="0"), "cells[0][0]: partner must be an integer"),
+    "invalid circuit": (
+        one_cell_doc(kind="cx", role="control", partner=0),
+        "cell (0, 0): invalid partner row",
+    ),
+}
+
+
+class TestMalformedInputs:
+    """Each bad input ends with `error: ...` naming the file and line, or
+    the setting, and exit code 2, before any search circuit is drawn."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.9,0\n0.8,0.2,1\n")
+        target = tmp_path / "target.txt"
+        write_statevector(np.eye(4, dtype=complex)[0], target)
+        return {"data": data, "target": target}
+
+    def rejected(self, capsys, monkeypatch, argv, fragments):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a search circuit was drawn")
+
+        monkeypatch.setattr(engine, "random_circuit", no_draw)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+        return err
+
+    def run_argv(self, tmp_path, text):
+        cfg = write_config(tmp_path, text)
+        return ["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_bad_setting(self, tmp_path, capsys, monkeypatch, files, case):
+        lines, fragments = BAD_SETTINGS[case]
+        text = SMALL_RUN + lines.format(**files)
+        self.rejected(capsys, monkeypatch, self.run_argv(tmp_path, text), fragments)
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_bad_dataset(self, tmp_path, capsys, monkeypatch, files, case):
+        text, fragments = BAD_DATASETS[case]
+        files["data"].write_text(text)
+        config = SMALL_RUN + ML.format(**files)
+        self.rejected(capsys, monkeypatch, self.run_argv(tmp_path, config), fragments)
+
+    @pytest.mark.parametrize("case", sorted(BAD_TARGETS))
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_bad_target(self, tmp_path, capsys, monkeypatch, files, command, case):
+        text, fragments = BAD_TARGETS[case]
+        files["target"].write_text(text)
+        if command == "run":
+            argv = self.run_argv(tmp_path, SMALL_RUN + f"target_file = {files['target']}\n")
+        else:
+            circuit = tmp_path / "circuit.json"
+            two_qubits = Circuit(2, ((Gate(GateKind.X),), (Gate(GateKind.H),)))
+            circuit.write_text(serialize(two_qubits))
+            argv = ["eval", str(circuit), "--target", str(files["target"])]
+        self.rejected(capsys, monkeypatch, argv, fragments)
+
+    @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+    def test_bad_circuit_document(self, tmp_path, capsys, monkeypatch, files, case):
+        text, fragment = BAD_DOCUMENTS[case]
+        circuit = tmp_path / "circuit.json"
+        circuit.write_text(text)
+        target = tmp_path / "one_qubit.txt"
+        write_statevector(np.array([0, 1], dtype=complex), target)
+        argv = ["eval", str(circuit), "--target", str(target)]
+        self.rejected(capsys, monkeypatch, argv, [fragment])
+
+    def test_header_after_comments(self, tmp_path, files):
+        files["data"].write_text("# made by hand\n\nf1,f2,label\n0.1,0.9,0\n0.8,0.2,1\n")
+        config = SMALL_RUN + ML.format(**files) + "train_steps = 1\n"
+        assert main(self.run_argv(tmp_path, config)) == 0
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("true", True), ("Yes", True), ("1", True),
+            ("false", False), ("NO", False), ("0", False),
+        ],
+    )
+    def test_lamarckian_spellings(self, tmp_path, files, text, value):
+        config = SMALL_RUN + ML.format(**files) + f"lamarckian = {text}\n"
+        spec = parse_config(write_config(tmp_path, config))
+        assert spec.fitness_params["lamarckian"] is value
+
+    def test_seed_option_writes_what_the_seed_key_writes(self, tmp_path):
+        seed_11 = SMOKE_CONFIG.replace("seed = 3", "seed = 11")
+        by_key = write_config(tmp_path, seed_11, "key.properties")
+        by_option = write_config(tmp_path, SMOKE_CONFIG, "option.properties")
+
+        def run(config, *options):
+            return main(["run", str(config), *options, "--quiet"])
+
+        assert run(by_key, "--out", str(tmp_path / "key")) == 0
+        assert run(by_option, "--seed", "11", "--out", str(tmp_path / "option")) == 0
+        assert run(by_option, "--out", str(tmp_path / "three")) == 0
+        assert snapshot(tmp_path / "key") == snapshot(tmp_path / "option")
+        assert snapshot(tmp_path / "key") != snapshot(tmp_path / "three")
 
 
 def snapshot(out):

@@ -30,7 +30,6 @@ from qcevolve.fitness import (
     FidelityFitness,
     FitnessFunction,
     MLFitness,
-    entanglement_fitness,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.simulator import simulate
@@ -76,6 +75,17 @@ class TestRunConfig:
             {"crossover_method": "bogus"},
             {"parent_selection": "bogus"},
             {"tournament_size": 0},
+            {"generations": -1},
+            {"survivor_selection": "bogus"},
+            {"min_qubits": 0},
+            {"min_qubits": 5},
+            {"max_qubits": 3},
+            {"depth": 0},
+            {"max_depth": 19},
+            {"children_per_generation": 0},
+            {"gate_set": frozenset()},
+            {"crossover_points": 0},
+            {"crossover_method": "multi_point", "crossover_points": -3},
         ],
     )
     def test_invariants(self, bad):
@@ -489,7 +499,7 @@ class TestFitnessMemo:
 
             def score(self, circuit):
                 kept = reversed_columns(circuit)
-                return entanglement_fitness(kept), kept
+                return EntanglementFitness().evaluate(kept), kept
 
         evolve(small_config(generations=4), Reversing(), np.random.default_rng(3))
         assert len(events) == 4

@@ -12,14 +12,9 @@ from qcevolve.fitness import (
     MLFitness,
     _encode_features,
     _predictions,
-    entanglement_fitness,
-    fidelity_fitness,
     get_fitness_constructor,
     load_dataset,
-    ml_fitness,
-    ml_fitness_trained,
     register_fitness,
-    registered_names,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.simulator import run_gates, simulate
@@ -31,41 +26,51 @@ SQ2 = 1.0 / np.sqrt(2.0)
 class TestFidelityFitness:
     def test_exact_preparation(self):
         c = bell_circuit()
-        assert fidelity_fitness(c, simulate(c)) == pytest.approx(1.0, abs=1e-12)
+        assert FidelityFitness(simulate(c)).evaluate(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_vs_plus_state(self):
         c = Circuit(2, ((ID,), (ID,)))
         target = np.array([SQ2, SQ2, 0, 0])  # H|0> on qubit 0
-        assert fidelity_fitness(c, target) == pytest.approx(0.5)
+        assert FidelityFitness(target).evaluate(c) == pytest.approx(0.5)
 
     def test_depth_penalty(self):
         c = bell_circuit()
         target = simulate(c)
-        assert fidelity_fitness(c, target, depth_weight=0.5, max_depth=10) == (
+        assert FidelityFitness(target, depth_weight=0.5, max_depth=10).evaluate(c) == (
             pytest.approx(1.0 - 0.5 * 2 / 10)
         )
 
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_target_length_not_a_power_of_two(self, length):
+        with pytest.raises(ConfigurationError, match="not a power of two"):
+            FidelityFitness(np.ones(length, dtype=complex))
+
+    def test_non_finite_depth_weight(self):
+        with pytest.raises(ConfigurationError, match="depth_weight must be finite"):
+            FidelityFitness(simulate(bell_circuit()), depth_weight=float("nan"))
+
     def test_qubit_mismatch(self):
         with pytest.raises(ConfigurationError):
-            fidelity_fitness(bell_circuit(), np.array([1, 0], dtype=complex))
+            FidelityFitness(np.array([1, 0], dtype=complex)).evaluate(bell_circuit())
 
     def test_invariant_under_identity_columns(self, rng):
         from qcevolve.circuit import pad_to
 
         c = random_circuit(3, 4, FULL_GATE_SET, rng)
         target = simulate(random_circuit(3, 4, FULL_GATE_SET, rng))
-        assert fidelity_fitness(c, target) == pytest.approx(
-            fidelity_fitness(pad_to(c, 3, 8), target), abs=1e-12
+        fitness = FidelityFitness(target)
+        assert fitness.evaluate(c) == pytest.approx(
+            fitness.evaluate(pad_to(c, 3, 8)), abs=1e-12
         )
 
 
 class TestEntanglementFitness:
     def test_bell_is_one(self):
-        assert entanglement_fitness(bell_circuit()) == pytest.approx(1.0, abs=1e-9)
+        assert EntanglementFitness().evaluate(bell_circuit()) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state_is_zero(self):
         c = Circuit(2, ((Gate(GateKind.H), Gate(GateKind.X)), (ID, Gate(GateKind.H))))
-        assert entanglement_fitness(c) == pytest.approx(0.0, abs=1e-9)
+        assert EntanglementFitness().evaluate(c) == pytest.approx(0.0, abs=1e-9)
 
     def test_ghz3_is_one(self):
         from oracles import partial_trace_oracle
@@ -75,15 +80,15 @@ class TestEntanglementFitness:
         for k in range(3):
             rho = partial_trace_oracle(state, [k])
             assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-12)
-        assert entanglement_fitness(c) == pytest.approx(1.0, abs=1e-9)
+        assert EntanglementFitness().evaluate(c) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ConfigurationError):
-            entanglement_fitness(Circuit(1, ((ID,),)))
+            EntanglementFitness().evaluate(Circuit(1, ((ID,),)))
 
     def test_in_unit_interval(self, rng):
         for _ in range(20):
-            f = entanglement_fitness(random_circuit(3, 5, FULL_GATE_SET, rng))
+            f = EntanglementFitness().evaluate(random_circuit(3, 5, FULL_GATE_SET, rng))
             assert -1e-9 <= f <= 1.0 + 1e-9
 
 
@@ -113,13 +118,13 @@ class TestMLFitness:
         ds = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=int))
         c = Circuit(1, ((ID,),))
         # <Z0> of |0> is +1 -> predicts label 0 for every sample
-        assert ml_fitness(c, ds, train_steps=0) == 1.0
+        assert MLFitness(ds, train_steps=0).evaluate(c) == 1.0
 
     def test_zero_steps_reproducible(self):
         ds = separable_dataset()
         c = rx_rz_circuit(0.3, -0.2)
-        a = ml_fitness(c, ds, train_steps=0)
-        b = ml_fitness(c, ds, train_steps=0)
+        a = MLFitness(ds, train_steps=0).evaluate(c)
+        b = MLFitness(ds, train_steps=0).evaluate(c)
         assert a == b
 
     def test_grid_search_oracle_admits_high_accuracy(self):
@@ -128,14 +133,14 @@ class TestMLFitness:
         best = 0.0
         for t1 in np.linspace(-np.pi, np.pi, 41):
             c = rx_rz_circuit(float(t1), 0.0)
-            best = max(best, ml_fitness(c, ds, train_steps=0))
+            best = max(best, MLFitness(ds, train_steps=0).evaluate(c))
         assert best >= 0.9
 
     def test_training_improves_separable_problem(self):
         ds = separable_dataset()
         c = rx_rz_circuit(0.4, 0.1)
-        before = ml_fitness(c, ds, train_steps=0)
-        after, trained = ml_fitness_trained(c, ds, train_steps=100, learning_rate=0.5)
+        before = MLFitness(ds, train_steps=0).evaluate(c)
+        after, trained = MLFitness(ds, train_steps=100, learning_rate=0.5).evaluate_trained(c)
         assert after >= before
         assert after >= 0.9
         # input circuit untouched, trained parameters returned separately
@@ -145,12 +150,24 @@ class TestMLFitness:
     def test_feature_count_exceeds_qubits(self):
         ds = separable_dataset()
         with pytest.raises(ConfigurationError):
-            ml_fitness(Circuit(1, ((ID,),)), ds)
+            MLFitness(ds).evaluate(Circuit(1, ((ID,),)))
+
+    @pytest.mark.parametrize(
+        "settings,match",
+        [
+            ({"train_steps": -2}, "train_steps must be >= 0"),
+            ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+            ({"learning_rate": float("-inf")}, "learning_rate must be finite"),
+        ],
+    )
+    def test_bad_settings(self, settings, match):
+        with pytest.raises(ConfigurationError, match=match):
+            MLFitness(separable_dataset(), **settings)
 
     def test_accuracy_in_unit_interval(self, rng):
         ds = separable_dataset()
         c = random_circuit(2, 3, FULL_GATE_SET, rng)
-        f = ml_fitness(c, ds, train_steps=0)
+        f = MLFitness(ds, train_steps=0).evaluate(c)
         assert 0.0 <= f <= 1.0
 
     def test_batched_predictions_match_per_sample_loop(self, rng):
@@ -169,7 +186,7 @@ class TestMLFitness:
     def test_score_keeps_the_trained_circuit_only_when_lamarckian(self):
         ds = separable_dataset()
         c = rx_rz_circuit(0.4, 0.1)
-        trained = ml_fitness_trained(c, ds, train_steps=3)
+        trained = MLFitness(ds, train_steps=3, lamarckian=False).evaluate_trained(c)
         assert MLFitness(ds, train_steps=3).score(c) == trained
         plain = MLFitness(ds, train_steps=3, lamarckian=False).score(c)
         assert plain[0] == trained[0]
@@ -191,8 +208,9 @@ class TestDataset:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"fidelity", "entanglement", "ml"} <= set(registered_names())
         assert get_fitness_constructor("fidelity") is FidelityFitness
+        assert get_fitness_constructor("entanglement") is EntanglementFitness
+        assert get_fitness_constructor("ml") is MLFitness
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ConfigurationError, match="fidelity"):
