@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import inspect
+import io
 import os
 import pickle
+import re
 import signal
 import sys
 import traceback
@@ -166,31 +168,53 @@ def parse_config(path: str | Path) -> ExperimentSpec:
 
 
 def write_statevector(state: np.ndarray, path: Path) -> None:
-    lines = [f"{amp.real:.17g} {amp.imag:.17g}" for amp in state]
-    path.write_text("\n".join(lines) + "\n")
+    """One `re im` pair per line, each part in repr-exact `%.17g`."""
+    parts = np.ascontiguousarray(state, dtype=complex).view(float).tolist()
+    path.write_text("%.17g %.17g\n" * len(state) % tuple(parts))
 
 
 _NORM_TOLERANCE = 1e-6  # a target's squared norm may differ from 1 by this
+# line breaks of str.splitlines that np.loadtxt reads as spaces
+_OTHER_LINE_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _read_pairs(text: str) -> np.ndarray | None:
+    """The amplitudes of a well-formed statevector text in one np.loadtxt
+    call, or None where the line loop of read_statevector must read it:
+    any fault, for a message naming the line, and any text whose lines
+    np.loadtxt would split otherwise."""
+    if not text or text.isspace() or _OTHER_LINE_BREAKS.search(text):
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(text), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if pairs.shape[1] != 2 or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex).ravel()
 
 
 def read_statevector(path: str | Path) -> np.ndarray:
     """One `re im` pair per line; finite, with a squared norm of 1."""
-    amps = []
-    for line_no, line in enumerate(_read_input(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{line_no}: expected 're im'")
-        try:
-            amp = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: not numeric") from None
-        if not cmath.isfinite(amp):
-            raise ParseError(f"{path}:{line_no}: amplitude is not finite")
-        amps.append(amp)
-    state = np.array(amps, dtype=complex)
+    text = _read_input(path)
+    state = _read_pairs(text)
+    if state is None:
+        amps = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{line_no}: expected 're im'")
+            try:
+                amp = complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                raise ParseError(f"{path}:{line_no}: not numeric") from None
+            if not cmath.isfinite(amp):
+                raise ParseError(f"{path}:{line_no}: amplitude is not finite")
+            amps.append(amp)
+        state = np.array(amps, dtype=complex)
     n = int(np.log2(len(state))) if len(state) else 0
     if len(state) == 0 or 2**n != len(state):
         raise ParseError(f"{path}: amplitude count {len(state)} is not a power of two")
@@ -323,8 +347,8 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
         state = read_statevector(spec.target_file)
         if len(state) != 2**cfg.n_qubits:
             raise ConfigurationError(
-                f"target statevector has {len(state)} amplitudes, "
-                f"expected {2 ** cfg.n_qubits}"
+                f"target_file {spec.target_file} has {len(state)} amplitudes, "
+                f"n_qubits = {cfg.n_qubits} needs {2 ** cfg.n_qubits}"
             )
         return [("target0", state)]
     targets = []
@@ -522,8 +546,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     target = read_statevector(args.target)
     if len(target) != 2**circ.n_qubits:
         raise ConfigurationError(
-            f"target has {len(target)} amplitudes, the {circ.n_qubits}-qubit "
-            f"circuit needs {2 ** circ.n_qubits}"
+            f"{args.target}: target has {len(target)} amplitudes, the "
+            f"{circ.n_qubits}-qubit circuit needs {2 ** circ.n_qubits}"
         )
     score = fidelity(simulate(circ), target)
     print(f"fidelity = {score:.12f}")

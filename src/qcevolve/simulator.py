@@ -62,6 +62,21 @@ def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.n
     return psi.reshape(state.shape)
 
 
+# `_apply` runs a one-qubit gate on bit q of a wide state as one BLAS call
+# over the whole state, instead of one call per (2, 2**q) block, when q >= 2,
+# each row holds at least 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and the state
+# or stack holds at most _ONE_CALL_AMPLITUDES. Both layouts give the same
+# bits on every OpenBLAS kernel tried; for q < 2 they do not, since the
+# per-block calls take other code paths (zgemv, and zgemm's small-N tail).
+# On a 13-qubit state (2 vCPUs, AVX-512) one call is faster from 64 blocks
+# (q <= 6) and slower at 32, where the two transposes cost more than the
+# calls they save. Beyond 2**13 amplitudes it is slower for most q: the
+# extra state-sized buffer costs page faults, and from 2**15 amplitudes
+# OpenBLAS splits the call across threads.
+_ONE_CALL_MIN_BLOCKS_LOG2 = 6
+_ONE_CALL_AMPLITUDES = 1 << 13
+
+
 def _apply(
     state: np.ndarray,
     n: int,
@@ -80,6 +95,14 @@ def _apply(
     matrix = gate_matrix(kind, theta) if kind.parameterized else _FIXED_MATRICES[kind]
     # little-endian: qubit q splits the flat index as (high, bit q, low);
     # a batch axis folds into "high"
+    if 2 <= q < n - _ONE_CALL_MIN_BLOCKS_LOG2 and state.size <= _ONE_CALL_AMPLITUDES:
+        # bit q's axis in front: one BLAS call instead of one per block
+        blocks = state.reshape(-1, 2, 1 << q)
+        cols = np.ascontiguousarray(blocks.transpose(1, 0, 2))
+        prod = (matrix @ cols.reshape(2, -1)).reshape(cols.shape)
+        new = cols.reshape(blocks.shape)  # cols' buffer, back in block order
+        new.transpose(1, 0, 2)[...] = prod
+        return new.reshape(state.shape)
     return np.matmul(matrix, state.reshape(-1, 2, 1 << q)).reshape(state.shape)
 
 

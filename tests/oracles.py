@@ -1,9 +1,14 @@
-"""Independent brute-force oracles used to cross-check the simulator.
+"""Independent brute-force oracles used to cross-check the simulator and
+the statevector files.
 
-These build explicit full-dimension matrices by index arithmetic and
-never go through the package's gate-application path.
+The simulator oracles build explicit full-dimension matrices by index
+arithmetic and never go through the package's gate-application path; the
+file oracles format and parse one amplitude at a time.
 """
 from __future__ import annotations
+
+import math
+from pathlib import Path
 
 import numpy as np
 
@@ -83,3 +88,34 @@ def partial_trace_oracle(state: np.ndarray, keep: list[int]) -> np.ndarray:
             for t in range(2 ** len(out)):
                 rho[a, b] += rho_full[global_index(a, t), global_index(b, t)]
     return rho
+
+
+def statevector_text_oracle(state: np.ndarray) -> str:
+    """Statevector file text, one amplitude formatted at a time."""
+    return "".join(f"{amp.real:.17g} {amp.imag:.17g}\n" for amp in state)
+
+
+def read_statevector_oracle(path) -> np.ndarray | str:
+    """The amplitudes of a statevector file, parsed line by line, or the
+    message that rejects it."""
+    amps = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return f"{path}:{line_no}: expected 're im'"
+        try:
+            re, im = float(parts[0]), float(parts[1])
+        except ValueError:
+            return f"{path}:{line_no}: not numeric"
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return f"{path}:{line_no}: amplitude is not finite"
+        amps.append(complex(re, im))
+    if not amps or len(amps) & (len(amps) - 1):
+        return f"{path}: amplitude count {len(amps)} is not a power of two"
+    state = np.array(amps)
+    norm = float(np.vdot(state, state).real)
+    if abs(norm - 1.0) > 1e-6:
+        return f"{path}: squared norm {norm:.17g} is not within 1e-06 of 1"
+    return state

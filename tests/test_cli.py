@@ -3,10 +3,17 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from oracles import read_statevector_oracle, statevector_text_oracle
 
 from qcevolve import cli, engine
 from qcevolve.circuit import Circuit, Gate, deserialize, pad_to, serialize
@@ -20,7 +27,7 @@ from qcevolve.cli import (
     write_statevector,
 )
 from qcevolve.engine import GenerationRecord
-from qcevolve.errors import ConfigurationError, QcevolveError
+from qcevolve.errors import ConfigurationError, ParseError, QcevolveError
 from qcevolve.fitness import _REGISTRY, FitnessFunction
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 
@@ -81,6 +88,57 @@ class TestParseConfig:
             parse_config(p)
 
 
+def _read_outcome(path) -> np.ndarray | str:
+    try:
+        return read_statevector(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def state_texts(draw) -> str:
+    """A normalised state written by hand: spaces or tabs, LF or CRLF,
+    blank lines, a leading '+' and underscores between digits."""
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for amp in state:
+        parts = []
+        for x in (amp.real, amp.imag):
+            part = f"{x:.17g}"
+            if draw(st.booleans()) and not part.startswith("-"):
+                part = "+" + part
+            digits = [i for i in range(1, len(part)) if (part[i - 1] + part[i]).isdigit()]
+            if digits and draw(st.booleans()):
+                i = draw(st.sampled_from(digits))
+                part = part[:i] + "_" + part[i:]
+            parts.append(part)
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        lines.append(draw(st.sampled_from(["", "  ", "\t"])) + sep.join(parts))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+# fragments of statevector texts, good and bad: line breaks that np.loadtxt
+# reads as spaces, spaces that str.split takes, separators it does not
+text_pieces = st.sampled_from(
+    ["1", "0", "-0", "+0.5", "0.5", "1_0", "0.7_5", "1e-320", "1e400", "nan",
+     "-inf", "x", "#", ",", "0.70710678118654757", "-0.70710678118654757",
+     " ", "\t", "\xa0", "\x1f", "\v", "\f", "\x1c", "\x85", "\u2028",
+     "\r", "\n", "\r\n", "\n\n"]
+)
+
+
 class TestStatevectorFiles:
     def test_round_trip(self, tmp_path, rng):
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -89,6 +147,47 @@ class TestStatevectorFiles:
         write_statevector(state, path)
         back = read_statevector(path)
         assert np.allclose(back, state, atol=1e-15)
+
+    @given(st.lists(st.complex_numbers(), min_size=1, max_size=64))
+    @example([complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-2.2e-308, 0.0)])
+    def test_written_bytes_match_per_amplitude_formatting(self, amps):
+        state = np.array(amps, dtype=complex)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.txt"
+            write_statevector(state, path)
+            assert path.read_bytes() == statevector_text_oracle(state).encode()
+
+    @given(st.one_of(state_texts(), st.lists(text_pieces, max_size=30).map("".join)))
+    @example("1 0\n0 0\n0 0\n0 1_0\n")
+    @example("1\v0\n0 0\n")
+    @example("+1\t0\r\n\r\n0 0\r\n")
+    def test_read_matches_line_by_line_oracle(self, text):
+        """Every text reads back with the oracle's bits, or is rejected
+        with the oracle's message."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "target.txt"
+            path.write_bytes(text.encode())
+            got, expected = _read_outcome(path), read_statevector_oracle(path)
+            assert _same_outcome(got, expected), (got, expected)
+
+    @pytest.mark.parametrize("text", ["", "\n \t\n\n"])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_empty_target_says_only_why(self, tmp_path, capsys, text, command):
+        target = tmp_path / "target.txt"
+        target.write_text(text)
+        if command == "run":
+            cfg = write_config(tmp_path, f"n_qubits = 1\ntarget_file = {target}\n")
+            argv = ["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+        else:
+            circuit = tmp_path / "circuit.json"
+            circuit.write_text(serialize(Circuit(1, ((Gate(GateKind.X),),))))
+            argv = ["eval", str(circuit), "--target", str(target)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {target}: amplitude count 0 is not a power of two\n"
+        assert captured.out == ""
 
 
 class TestTraceCsv:
@@ -525,6 +624,20 @@ class TestMalformedInputs:
             circuit.write_text(serialize(two_qubits))
             argv = ["eval", str(circuit), "--target", str(files["target"])]
         self.rejected(capsys, monkeypatch, argv, fragments)
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_target_width_mismatch(self, tmp_path, capsys, monkeypatch, files, command):
+        target = files["target"]  # two qubits
+        if command == "run":
+            text = SMALL_RUN.replace("n_qubits = 2", "n_qubits = 3")
+            argv = self.run_argv(tmp_path, text + f"target_file = {target}\n")
+            fragment = f"target_file {target} has 4 amplitudes, n_qubits = 3 needs 8"
+        else:
+            circuit = tmp_path / "circuit.json"
+            circuit.write_text(serialize(Circuit(3, ((Gate(GateKind.X),),) * 3)))
+            argv = ["eval", str(circuit), "--target", str(target)]
+            fragment = f"{target}: target has 4 amplitudes, the 3-qubit circuit needs 8"
+        self.rejected(capsys, monkeypatch, argv, [fragment])
 
     @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
     def test_bad_circuit_document(self, tmp_path, capsys, monkeypatch, files, case):

@@ -65,20 +65,42 @@ def _stack(n: int, rng: np.random.Generator) -> np.ndarray:
     return s / np.linalg.norm(s, axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("gate_set,width", sorted(DRAW_DIGESTS))
-def test_random_circuit_and_simulation_bits(gate_set, width):
+def _simulation_digest(gate_set: str, width: int, depths) -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         states = np.random.default_rng(1000 + seed)
-        for depth in DEPTHS:
+        for depth in depths:
             c = random_circuit(width, depth, GATE_SETS[gate_set], rng)
             h.update(serialize(c).encode())
             h.update(simulate(c).tobytes())
             h.update(run_gates(_stack(width, states), c).tobytes())
         # what the generator is left at pins how many numbers were taken
         h.update(rng.bytes(8))
-    assert h.hexdigest() == DRAW_DIGESTS[gate_set, width]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("gate_set,width", sorted(DRAW_DIGESTS))
+def test_random_circuit_and_simulation_bits(gate_set, width):
+    assert _simulation_digest(gate_set, width, DEPTHS) == DRAW_DIGESTS[gate_set, width]
+
+
+# the same at widths where one-qubit gates on qubits >= 2 reach the
+# one-call layout of `simulator._apply` (single states and the (3, 2**n)
+# stacks at 9 qubits, single states at 13), over fewer depths; recorded
+# with one np.matmul call per block alone
+WIDE_DEPTHS = (1, 3, 7)
+WIDE_DIGESTS = {
+    ("full", 9): "f6f7cc533b3ca32991d06f5da66459d1340789f076d8324fe0325025aba7b741",
+    ("full", 13): "0eec41ad78bf355630622d8617d6b387cc61fb9a65edf6945dd913b288871d58",
+    ("restricted", 13): "23c1d94174f1688efdf95b8a423cf0d38366eba1d8965e492cc493b4c2ec5ce3",
+}
+
+
+@pytest.mark.parametrize("gate_set,width", sorted(WIDE_DIGESTS))
+def test_wide_simulation_bits(gate_set, width):
+    digest = _simulation_digest(gate_set, width, WIDE_DEPTHS)
+    assert digest == WIDE_DIGESTS[gate_set, width]
 
 
 def _draw_digest(gate_set: str, width: int, make_rng) -> str:

@@ -166,6 +166,32 @@ class TestRunGatesBatch:
         assert np.array_equal(out, simulate(c))
 
 
+class TestOneCallLayout:
+    """On wide states `run_gates` runs a one-qubit gate on bit q >= 2 as one
+    BLAS call over all (2, 2**q) blocks. Every row must keep the bits of one
+    `np.matmul` call per block, the layout it replaces, on whichever
+    OpenBLAS kernel runs the test."""
+
+    ONE_QUBIT = [k for k in GateKind if k.arity == 1 and k is not GateKind.ID]
+
+    @pytest.mark.parametrize("n", [8, 9, 11, 13])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_rows_match_per_block_matmul(self, n, batch, rng):
+        shape = (2**n,) if batch is None else (batch, 2**n)
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for kind in self.ONE_QUBIT:
+            theta = float(rng.uniform(-np.pi, np.pi)) if kind.parameterized else None
+            matrix = gate_matrix(kind, theta)
+            for q in range(n):
+                rows = [(Gate(GateKind.ID),)] * n
+                rows[q] = (Gate(kind, theta=theta),)
+                out = run_gates(state, Circuit(n, tuple(rows)))
+                blocks = state.reshape(-1, 2, 1 << q)
+                expected = np.matmul(matrix, blocks).reshape(shape)
+                assert out.shape == shape and out.flags.c_contiguous
+                assert out.tobytes() == expected.tobytes(), (kind, q)
+
+
 class TestFidelity:
     def test_self(self, rng):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
