@@ -12,8 +12,9 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from math import pi
+from math import inf, isfinite, pi
 from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,9 @@ class Role(enum.Enum):
     __hash__ = object.__hash__  # as GateKind: members are singletons
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One placed gate cell."""
+class Gate(NamedTuple):
+    """One placed gate cell: an immutable named tuple, so a circuit hashes
+    in C. `_replace` returns a copy with fields changed."""
 
     kind: GateKind
     role: Role = Role.SINGLE
@@ -437,6 +438,11 @@ def serialize(circuit: Circuit) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: `true` and `false` load as bools, which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def deserialize(text: str) -> Circuit:
     """Parse a circuit document; raises ParseError with field context."""
     try:
@@ -452,7 +458,7 @@ def deserialize(text: str) -> Circuit:
         if field not in doc:
             raise ParseError(f"missing field '{field}'")
     n, m, cells = doc["n_qubits"], doc["depth"], doc["cells"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if not _is_int(n) or not _is_int(m) or n < 1 or m < 1:
         raise ParseError("n_qubits and depth must be positive integers")
     if not isinstance(cells, list) or len(cells) != n:
         raise ParseError(f"cells must hold {n} rows")
@@ -475,13 +481,18 @@ def deserialize(text: str) -> Circuit:
                 raise ParseError(f"{where}: unknown role") from None
             theta = cell.get("theta")
             partner = cell.get("partner")
-            if theta is not None and not isinstance(theta, (int, float)):
-                raise ParseError(f"{where}: theta must be a number")
-            if partner is not None and not isinstance(partner, int):
+            if theta is not None:
+                if not (_is_int(theta) or isinstance(theta, float)):
+                    raise ParseError(f"{where}: theta must be a number")
+                try:
+                    theta = float(theta)
+                except OverflowError:  # an integer past the float range
+                    theta = inf
+                if not isfinite(theta):
+                    raise ParseError(f"{where}: theta must be finite")
+            if partner is not None and not _is_int(partner):
                 raise ParseError(f"{where}: partner must be an integer")
-            out_row.append(
-                Gate(kind, role, None if theta is None else float(theta), partner)
-            )
+            out_row.append(Gate(kind, role, theta, partner))
         grid.append(tuple(out_row))
     circuit = Circuit(n, tuple(grid))
     try:

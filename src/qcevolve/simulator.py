@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, Role, validate
+from .circuit import MAX_QUBITS, Circuit, Gate, Role, validate
 from .errors import ConfigurationError
 from .gates import _FIXED_MATRICES, GateKind, gate_matrix
 
@@ -62,11 +62,11 @@ def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.n
     return psi.reshape(state.shape)
 
 
-# `_apply` runs a one-qubit gate on bit q of a wide state as one BLAS call
-# over the whole state, instead of one call per (2, 2**q) block, when q >= 2,
-# each row holds at least 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and the state
-# or stack holds at most _ONE_CALL_AMPLITUDES. Both layouts give the same
-# bits on every OpenBLAS kernel tried; for q < 2 they do not, since the
+# A one-qubit gate on bit q of a wide state runs as one BLAS call over the
+# whole state, instead of one call per (2, 2**q) block, when q >= 2, each
+# row holds at least 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and the state or
+# stack holds at most _ONE_CALL_AMPLITUDES. Both layouts give the same bits
+# on every OpenBLAS kernel tried; for q < 2 they do not, since the
 # per-block calls take other code paths (zgemv, and zgemm's small-N tail).
 # On a 13-qubit state (2 vCPUs, AVX-512) one call is faster from 64 blocks
 # (q <= 6) and slower at 32, where the two transposes cost more than the
@@ -77,33 +77,45 @@ _ONE_CALL_MIN_BLOCKS_LOG2 = 6
 _ONE_CALL_AMPLITUDES = 1 << 13
 
 
-def _apply(
-    state: np.ndarray,
-    n: int,
-    kind: GateKind,
-    theta: float | None,
-    q: int,
-    partner: int | None = None,
+def _apply_1q_fast(
+    state: np.ndarray, matrix: np.ndarray, q: int, one_call: bool
 ) -> np.ndarray:
-    """The one gate kernel dispatch: `kind` on qubit `q`, the control of a
-    CX or CZ whose target is `partner`. Fixed one-qubit matrices come from
-    the table; only rotations are built."""
-    if kind is GateKind.CX:
-        return _apply_cx_fast(state, q, partner, n)
-    if kind is GateKind.CZ:
-        return _apply_cz_fast(state, q, partner, n)
-    matrix = gate_matrix(kind, theta) if kind.parameterized else _FIXED_MATRICES[kind]
     # little-endian: qubit q splits the flat index as (high, bit q, low);
     # a batch axis folds into "high"
-    if 2 <= q < n - _ONE_CALL_MIN_BLOCKS_LOG2 and state.size <= _ONE_CALL_AMPLITUDES:
-        # bit q's axis in front: one BLAS call instead of one per block
-        blocks = state.reshape(-1, 2, 1 << q)
-        cols = np.ascontiguousarray(blocks.transpose(1, 0, 2))
-        prod = (matrix @ cols.reshape(2, -1)).reshape(cols.shape)
-        new = cols.reshape(blocks.shape)  # cols' buffer, back in block order
-        new.transpose(1, 0, 2)[...] = prod
-        return new.reshape(state.shape)
-    return np.matmul(matrix, state.reshape(-1, 2, 1 << q)).reshape(state.shape)
+    blocks = state.reshape(-1, 2, 1 << q)
+    if not one_call:
+        return np.matmul(matrix, blocks).reshape(state.shape)
+    # bit q's axis in front: one BLAS call instead of one per block
+    cols = np.ascontiguousarray(blocks.transpose(1, 0, 2))
+    prod = (matrix @ cols.reshape(2, -1)).reshape(cols.shape)
+    new = cols.reshape(blocks.shape)  # cols' buffer, back in block order
+    new.transpose(1, 0, 2)[...] = prod
+    return new.reshape(state.shape)
+
+
+# module globals: `_run` then makes no enum attribute lookup per gate
+_ID, _CX, _CZ, _TARGET = GateKind.ID, GateKind.CX, GateKind.CZ, Role.TARGET
+
+
+def _run(state: np.ndarray, n: int, cells) -> np.ndarray:
+    """The one gate kernel dispatch: apply the (qubit, Gate) pairs of
+    `cells` in order, skipping identities and target halves. The kernels
+    stay functions: their temporaries must be freed before the next gate
+    allocates, or a 13-qubit state takes page faults on every gate."""
+    one_call_below = n - _ONE_CALL_MIN_BLOCKS_LOG2
+    one_call_fits = state.size <= _ONE_CALL_AMPLITUDES
+    for q, (kind, role, theta, partner) in cells:
+        if kind is _ID or role is _TARGET:
+            continue
+        if kind is _CX:
+            state = _apply_cx_fast(state, q, partner, n)
+        elif kind is _CZ:
+            state = _apply_cz_fast(state, q, partner, n)
+        else:
+            matrix = _FIXED_MATRICES[kind] if theta is None else gate_matrix(kind, theta)
+            one_call = 2 <= q < one_call_below and one_call_fits
+            state = _apply_1q_fast(state, matrix, q, one_call)
+    return state
 
 
 def apply_gate(
@@ -112,7 +124,8 @@ def apply_gate(
     theta: float | None,
     targets: tuple[int, ...],
 ) -> np.ndarray:
-    """Apply `kind` on `targets` (control first for CX/CZ)."""
+    """Apply `kind` on `targets` (control first for CX/CZ). An identity
+    returns `state` itself."""
     n = n_qubits_of(state)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets {targets}")
@@ -124,18 +137,18 @@ def apply_gate(
         raise ValueError(f"{kind.value} requires a rotation angle")
     if not kind.parameterized and theta is not None:
         raise ValueError(f"{kind.value} takes no rotation angle")
-    return _apply(state, n, kind, theta, *targets)
+    if kind.arity == 2:
+        cell = Gate(kind, Role.CONTROL, partner=targets[1])
+    else:
+        cell = Gate(kind, Role.SINGLE, theta)
+    return _run(state, n, ((targets[0], cell),))
 
 
 def run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply a validated circuit to an arbitrary start state, or to each row
     of a C-contiguous (batch, 2**n) stack of them; returns the same shape."""
-    n = circuit.n_qubits
-    for column in zip(*circuit.grid):
-        for r, g in enumerate(column):
-            if g.kind is not GateKind.ID and g.role is not Role.TARGET:
-                state = _apply(state, n, g.kind, g.theta, r, g.partner)
-    return state
+    cells = (rg for column in zip(*circuit.grid) for rg in enumerate(column))
+    return _run(state, circuit.n_qubits, cells)
 
 
 def simulate(circuit: Circuit) -> np.ndarray:
@@ -168,7 +181,11 @@ def partial_trace(state: np.ndarray, keep: set[int] | list[int]) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
+    h = rho.conj().T
+    # np.allclose(rho, h, atol=1e-8) at a third of its cost, except that any
+    # non-finite entry fails: d - tol <= 0 is d <= tol for finite d and tol,
+    # and False where an inf or nan makes either one inf or nan (inf - inf)
+    if not (np.abs(rho - h) - (1e-8 + 1e-5 * np.abs(h)) <= 0).all():
         raise ValueError("density matrix is not Hermitian")
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > 1e-12]  # clamp numerical negatives / zeros

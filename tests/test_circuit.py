@@ -263,6 +263,22 @@ class TestHashing:
         assert memo[restored] == "scored"
         assert memo[fresh] == "scored"
 
+    def test_gate_is_an_immutable_value(self, rng):
+        c = random_circuit(4, 20, FULL_GATE_SET, rng)
+        cells = {g for row in c.grid for g in row}
+        assert {g.kind.arity for g in cells} == {1, 2}
+        assert any(g.theta is not None for g in cells)
+        for g in cells:
+            assert hash(g) == hash((g.kind, g.role, g.theta, g.partner))
+            for field in ("kind", "role", "theta", "partner"):
+                with pytest.raises(AttributeError):
+                    setattr(g, field, None)
+            restored = pickle.loads(pickle.dumps(g))
+            assert type(restored) is Gate and restored == g
+            assert hash(restored) == hash(g)
+        moved = c.grid[0][0]._replace(theta=0.25)
+        assert moved.theta == 0.25 and moved.kind is c.grid[0][0].kind
+
     def test_cached_hash_not_pickled(self, rng):
         c = random_circuit(2, 4, FULL_GATE_SET, rng)
         hash(c)

@@ -562,6 +562,29 @@ BAD_DOCUMENTS = {
     "role": (one_cell_doc(kind="x", role="boss"), "cells[0][0]: unknown role"),
     "theta": (one_cell_doc(kind="rx", theta="pi"), "cells[0][0]: theta must be a number"),
     "partner": (one_cell_doc(kind="x", partner="0"), "cells[0][0]: partner must be an integer"),
+    "nan theta": (one_cell_doc(kind="rx", theta=float("nan")), "cells[0][0]: theta must be finite"),
+    "infinite theta": (
+        one_cell_doc(kind="rx", theta=float("-inf")),
+        "cells[0][0]: theta must be finite",
+    ),
+    "theta past the float range": (
+        one_cell_doc(kind="rx", theta=0.5).replace("0.5", "1e400"),
+        "cells[0][0]: theta must be finite",
+    ),
+    "integer theta past the float range": (
+        one_cell_doc(kind="rx", theta=0.5).replace("0.5", "1" + "0" * 400),
+        "cells[0][0]: theta must be finite",
+    ),
+    "boolean theta": (one_cell_doc(kind="rx", theta=True), "cells[0][0]: theta must be a number"),
+    "boolean partner": (
+        one_cell_doc(kind="cx", role="control", partner=False),
+        "cells[0][0]: partner must be an integer",
+    ),
+    "boolean qubit count": (
+        one_qubit_doc(n_qubits=True),
+        "n_qubits and depth must be positive integers",
+    ),
+    "boolean depth": (one_qubit_doc(depth=True), "n_qubits and depth must be positive integers"),
     "invalid circuit": (
         one_cell_doc(kind="cx", role="control", partner=0),
         "cell (0, 0): invalid partner row",

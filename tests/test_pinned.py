@@ -86,7 +86,7 @@ def test_random_circuit_and_simulation_bits(gate_set, width):
 
 
 # the same at widths where one-qubit gates on qubits >= 2 reach the
-# one-call layout of `simulator._apply` (single states and the (3, 2**n)
+# one-call layout of `simulator._run` (single states and the (3, 2**n)
 # stacks at 9 qubits, single states at 13), over fewer depths; recorded
 # with one np.matmul call per block alone
 WIDE_DEPTHS = (1, 3, 7)

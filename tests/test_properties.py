@@ -6,7 +6,6 @@ raw-word draws that build those circuits are checked against numpy's own.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -198,7 +197,7 @@ def corrupted_circuits(draw) -> Circuit:
     }
     changed = draw(st.sampled_from([[name] for name in fields] + [list(fields)]))
     grid = [list(row) for row in circuit.grid]
-    grid[r][c] = replace(grid[r][c], **{f: draw(fields[f]) for f in changed})
+    grid[r][c] = grid[r][c]._replace(**{f: draw(fields[f]) for f in changed})
     return Circuit(n, tuple(tuple(row) for row in grid))
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import bell_circuit
 from oracles import embed_unitary, partial_trace_oracle, simulate_oracle
 
 from qcevolve.circuit import Circuit, Gate, Role, random_circuit
 from qcevolve.errors import ConfigurationError
-from qcevolve.gates import FULL_GATE_SET, GateKind, gate_matrix
+from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind, gate_matrix
 from qcevolve.simulator import (
     apply_gate,
     fidelity,
@@ -18,6 +20,8 @@ from qcevolve.simulator import (
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
+INF_J = complex(0.0, np.inf)
+NAN_INF_J = complex(np.nan, np.inf)
 
 
 class TestZeroState:
@@ -192,6 +196,58 @@ class TestOneCallLayout:
                 assert out.tobytes() == expected.tobytes(), (kind, q)
 
 
+def reference_run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """`run_gates` written out: a one-qubit gate as one `np.matmul` per
+    (2, 2**q) block; CX as a swap of each index pair with the control bit
+    set, CZ as a product by -1 of each index with both bits set. The
+    product by -1 is the kernels' negation: on a zero it gives other signs
+    than unary minus."""
+    out = state.copy()
+    for column in zip(*circuit.grid):
+        for q, g in enumerate(column):
+            if g.kind is GateKind.ID or g.role is Role.TARGET:
+                continue
+            if g.kind.arity == 1:
+                blocks = out.reshape(-1, 2, 1 << q)
+                matrix = gate_matrix(g.kind, g.theta)
+                for b in range(len(blocks)):
+                    blocks[b] = np.matmul(matrix, blocks[b])
+                continue
+            c, t = 1 << q, 1 << g.partner
+            for i in range(out.shape[-1]):
+                if i & c and not i & t:
+                    if g.kind is GateKind.CX:
+                        out[..., [i, i | t]] = out[..., [i | t, i]]
+                    elif g.kind is GateKind.CZ:
+                        out[..., i | t] = out[..., i | t] * -1
+    return out
+
+
+class TestRunGatesBitForBit:
+    """The gate loop gives the bits of the loop written out above, on
+    whichever OpenBLAS kernel runs the test (below 9 qubits no one-qubit
+    gate takes the one-call layout)."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.sampled_from([FULL_GATE_SET, RESTRICTED_GATE_SET]),
+        st.sampled_from([None, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_loop(self, n, depth, gate_set, batch, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(n, depth, gate_set, rng)
+        shape = (2**n,) if batch is None else (batch, 2**n)
+        parts = rng.normal(size=shape + (2,))
+        # signed zeros in half the parts: the kernels must keep their signs
+        parts[rng.random(parts.shape) < 0.5] *= 0.0
+        state = parts.view(complex).reshape(shape)
+        out = run_gates(state, circuit)
+        assert out.shape == state.shape
+        assert out.tobytes() == reference_run_gates(state, circuit).tobytes()
+
+
 class TestFidelity:
     def test_self(self, rng):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -255,6 +311,48 @@ class TestVonNeumannEntropy:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @given(
+        st.sampled_from([2, 4]),
+        st.lists(st.floats(-1, 1), min_size=32, max_size=32),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([1.0, 1j]),
+        st.floats(0.4, 1.6) | st.sampled_from([0.5, 1.0, 1 - 2**-52, 1 + 2**-52]),
+        st.none() | st.sampled_from([np.nan, np.inf, -np.inf, NAN_INF_J, INF_J]),
+    )
+    # on the diagonal, d <= tol passes inf <= inf for these two
+    @example(2, [0.0] * 32, 0, 0, 1.0, 1.0, NAN_INF_J)
+    @example(4, [0.5] * 32, 3, 3, 1.0, 1.0, INF_J)
+    # inf - inf warns before the check rejects the matrix
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_hermitian_check_is_allclose(self, d, xs, i, j, unit, edge, bad):
+        """Where `np.allclose(rho, rho^H, atol=1e-8)` fails, or an entry is
+        not finite, the same error; elsewhere the bits of the former
+        allclose-checked implementation."""
+
+        def allclose_entropy(rho):
+            if not np.allclose(rho, rho.conj().T, atol=1e-8):
+                raise ValueError("density matrix is not Hermitian")
+            lam = np.linalg.eigvalsh(rho)
+            lam = lam[lam > 1e-12]
+            return float(-np.sum(lam * np.log2(lam)))
+
+        a = (np.array(xs[:16]) + 1j * np.array(xs[16:])).reshape(4, 4)[:d, :d]
+        rho = a @ a.conj().T
+        i, j = i % d, j % d
+        # move one entry away from rho^H by `edge` times the tolerance
+        # (twice that for an imaginary step on the diagonal)
+        h = np.conj(rho[j, i])
+        rho[i, j] += unit * edge * (1e-8 + 1e-5 * abs(h))
+        if bad is not None:
+            rho[j, i] = bad
+        if not np.allclose(rho, rho.conj().T, atol=1e-8) or not np.isfinite(rho).all():
+            with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+                von_neumann_entropy(rho)
+        else:
+            got = von_neumann_entropy(rho)
+            assert np.float64(got).tobytes() == np.float64(allclose_entropy(rho)).tobytes()
 
     def test_schmidt_symmetry(self, rng):
         for _ in range(20):
