@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite, pi
 from operator import length_hint
@@ -57,27 +56,12 @@ def shared_cell(
 IDENTITY = shared_cell(GateKind.ID)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """An immutable n_qubits x depth grid of gate cells.
-
-    The hash is computed once and kept on the instance; it is not pickled,
-    since gate-kind and role hashes differ between processes."""
+class Circuit(NamedTuple):
+    """An immutable n_qubits x depth grid of gate cells: a named tuple, so
+    it hashes, compares and pickles as the tuple of its fields."""
 
     n_qubits: int
     grid: tuple[tuple[Gate, ...], ...]  # grid[row][col]
-
-    _hash = None  # not a field: no annotation
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n_qubits, self.grid))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return Circuit, (self.n_qubits, self.grid)
 
     @property
     def depth(self) -> int:

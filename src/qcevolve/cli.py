@@ -5,10 +5,8 @@ from __future__ import annotations
 import argparse
 import cmath
 import inspect
-import io
 import os
 import pickle
-import re
 import signal
 import sys
 import traceback
@@ -103,6 +101,12 @@ _EXPERIMENT_KEYS = {
     "target_gate_set": parse_gate_set,
     "output_dir": str,
 }
+_TARGET_KEYS = ("target_seeds", "target_file", "target_gate_set")
+
+
+def _reads_target(fitness_name: str) -> bool:
+    """Whether the fitness reads a target state, set by _TARGET_KEYS."""
+    return fitness_name == "fidelity"
 
 
 def _read_input(path: str | Path) -> str:
@@ -148,6 +152,11 @@ def parse_config(path: str | Path) -> ExperimentSpec:
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
     fitness_name = fitness_kwargs.pop("fitness", "fidelity")
+    unread = [key for key in exp_kwargs if key in _TARGET_KEYS]
+    if unread and not _reads_target(fitness_name):
+        raise ConfigurationError(
+            f"{path}: {unread[0]} is read only by fitness 'fidelity'"
+        )
     spec = ExperimentSpec(
         run_config=run_config,
         fitness_name=fitness_name,
@@ -174,19 +183,16 @@ def write_statevector(state: np.ndarray, path: Path) -> None:
 
 
 _NORM_TOLERANCE = 1e-6  # a target's squared norm may differ from 1 by this
-# line breaks of str.splitlines that np.loadtxt reads as spaces
-_OTHER_LINE_BREAKS = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _read_pairs(text: str) -> np.ndarray | None:
     """The amplitudes of a well-formed statevector text in one np.loadtxt
-    call, or None where the line loop of read_statevector must read it:
-    any fault, for a message naming the line, and any text whose lines
-    np.loadtxt would split otherwise."""
-    if not text or text.isspace() or _OTHER_LINE_BREAKS.search(text):
+    call over the lines read_statevector's loop reads, or None where that
+    loop must read them: any fault, for a message naming the line."""
+    if not text or text.isspace():
         return None
     try:
-        pairs = np.loadtxt(io.StringIO(text), dtype=float, comments=None, ndmin=2)
+        pairs = np.loadtxt(text.splitlines(), dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
     if pairs.shape[1] != 2 or not np.isfinite(pairs).all():
@@ -341,7 +347,7 @@ def emit_convergence_svg(
 
 def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
     cfg = spec.run_config
-    if spec.fitness_name != "fidelity":
+    if not _reads_target(spec.fitness_name):
         return [("target0", None)]
     if spec.target_file is not None:
         state = read_statevector(spec.target_file)
@@ -367,7 +373,7 @@ def _make_fitness(
     """The spec's fitness; `cfg` is its resolved run config."""
     ctor = get_fitness_constructor(spec.fitness_name)
     params = dict(spec.fitness_params)
-    if spec.fitness_name == "fidelity":
+    if target is not None:
         params.update(target=target, max_depth=cfg.max_depth)
     try:
         # names a key the constructor does not take, or one it needs

@@ -190,7 +190,10 @@ class _Evaluator:
         unless it returns a pair of a finite real score, which selection
         can rank, and `circuit` itself or a valid circuit of its shape."""
         result = self.fitness_fn.score(circuit)
-        if not (isinstance(result, tuple) and len(result) == 2):
+        # a Circuit is a tuple of two as well: its width and its grid
+        if isinstance(result, Circuit) or not (
+            isinstance(result, tuple) and len(result) == 2
+        ):
             raise self._rejected(
                 circuit, f"{reprlib.repr(result)}, not a (score, circuit) pair"
             )

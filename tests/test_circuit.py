@@ -228,7 +228,8 @@ class TestValidate:
 
 
 class TestHashing:
-    """Gate kinds and roles hash by identity; a circuit hashes once."""
+    """Gate kinds and roles hash by identity; gates and circuits are named
+    tuples, so they hash, compare and pickle as their fields."""
 
     def test_enum_members_as_keys_and_set_members(self):
         kinds = {kind: kind.value for kind in GateKind}
@@ -258,10 +259,14 @@ class TestHashing:
         memo = {c: "scored"}
         restored = pickle.loads(pickle.dumps(c))
         fresh = Circuit(c.n_qubits, tuple(tuple(row) for row in c.grid))
+        assert type(restored) is Circuit
         assert restored == fresh == c
-        assert hash(restored) == hash(fresh) == hash(c)
+        assert hash(restored) == hash(fresh) == hash(c) == hash((c.n_qubits, c.grid))
         assert memo[restored] == "scored"
         assert memo[fresh] == "scored"
+        for field in ("n_qubits", "grid"):
+            with pytest.raises(AttributeError):
+                setattr(c, field, None)
 
     def test_gate_is_an_immutable_value(self, rng):
         c = random_circuit(4, 20, FULL_GATE_SET, rng)
@@ -278,11 +283,6 @@ class TestHashing:
             assert hash(restored) == hash(g)
         moved = c.grid[0][0]._replace(theta=0.25)
         assert moved.theta == 0.25 and moved.kind is c.grid[0][0].kind
-
-    def test_cached_hash_not_pickled(self, rng):
-        c = random_circuit(2, 4, FULL_GATE_SET, rng)
-        hash(c)
-        assert "_hash" not in pickle.loads(pickle.dumps(c)).__dict__
 
     def test_circuit_hashed_in_another_process_found_in_memo(self):
         # identity hashes of gate kinds and roles differ between processes

@@ -129,8 +129,8 @@ def state_texts(draw) -> str:
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-# fragments of statevector texts, good and bad: line breaks that np.loadtxt
-# reads as spaces, spaces that str.split takes, separators it does not
+# fragments of statevector texts, good and bad: every line break of
+# str.splitlines, spaces that str.split takes, separators it does not
 text_pieces = st.sampled_from(
     ["1", "0", "-0", "+0.5", "0.5", "1_0", "0.7_5", "1e-320", "1e400", "nan",
      "-inf", "x", "#", ",", "0.70710678118654757", "-0.70710678118654757",
@@ -385,6 +385,8 @@ class TestMainEntry:
         cases = [
             (NanFitness, "returned nan, not a finite real number"),
             (returning(lambda c: 0.5), "returned 0.5, not a (score, circuit) pair"),
+            # not read as the pair (width, grid): the message names the Circuit
+            (returning(lambda c: c), "returned Circuit(n_qub"),
             (returning(lambda c: (0.5, "c")), "returned 'c' as its circuit, not a Circuit"),
             (
                 returning(lambda c: (0.5, pad_to(c, 3, 2))),
@@ -511,6 +513,19 @@ BAD_SETTINGS = {
     "seeds and a file": (
         "target_seeds = 1\ntarget_file = {target}\n",
         ["run.properties", "target_seeds and target_file are mutually exclusive"],
+    ),
+    # the target settings apply to the fidelity fitness alone
+    "target file without fidelity": (
+        "fitness = entanglement\ntarget_file = /no/such/file.txt\ntarget_gate_set = x\n",
+        ["run.properties: target_file is read only by fitness 'fidelity'"],
+    ),
+    "target gate set without fidelity": (
+        "fitness = entanglement\ntarget_gate_set = x\n",
+        ["run.properties: target_gate_set is read only by fitness 'fidelity'"],
+    ),
+    "target seeds without fidelity": (
+        ML + "target_seeds = 1\n",
+        ["run.properties: target_seeds is read only by fitness 'fidelity'"],
     ),
 }
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bell_circuit
 
@@ -17,6 +19,9 @@ from qcevolve.circuit import (
     validate,
 )
 from qcevolve.engine import (
+    CROSSOVER_METHODS,
+    SELECTION_METHODS,
+    SURVIVOR_METHODS,
     GenerationRecord,
     RunConfig,
     evolve,
@@ -32,6 +37,7 @@ from qcevolve.fitness import (
     MLFitness,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
+from qcevolve.operators import MUTATION_METHODS
 from qcevolve.simulator import simulate
 
 
@@ -403,6 +409,45 @@ class TestScoreChecks:
         assert best.fitness == max(good, 0.5)
 
 
+@st.composite
+def memo_configs(draw) -> RunConfig:
+    """Small configurations over every crossover, parent and survivor rule,
+    with widths that mutation moves, for the entanglement fitness. Gate
+    sets without angles make duplicate circuits, and so memo hits, common."""
+    population = draw(st.integers(2, 8))
+    n, depth = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    weights = st.lists(
+        st.sampled_from([0.0, 1.0, 2.5]),
+        min_size=len(MUTATION_METHODS),
+        max_size=len(MUTATION_METHODS),
+    ).filter(any)
+    gate_sets = [
+        FULL_GATE_SET,
+        frozenset({GateKind.H, GateKind.CX}),
+        frozenset({GateKind.X, GateKind.H, GateKind.CZ}),
+    ]
+    return RunConfig(
+        population_size=population,
+        generations=draw(st.integers(1, 4)),
+        n_qubits=n,
+        depth=depth,
+        min_qubits=draw(st.integers(2, n)),
+        max_qubits=draw(st.integers(n, 5)),
+        max_depth=draw(st.integers(depth, 6)),
+        crossover_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        mutation_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        crossover_method=draw(st.sampled_from(CROSSOVER_METHODS)),
+        crossover_points=draw(st.integers(1, 3)),
+        parent_selection=draw(st.sampled_from(SELECTION_METHODS)),
+        survivor_selection=draw(st.sampled_from(SURVIVOR_METHODS)),
+        tournament_size=draw(st.integers(1, 3)),
+        elitism=draw(st.integers(0, min(2, population - 1))),
+        gate_set=draw(st.sampled_from(gate_sets)),
+        mutation_weights=draw(st.none() | weights.map(tuple)),
+        children_per_generation=draw(st.none() | st.integers(1, 8)),
+    )
+
+
 class TestFitnessMemo:
     """evolve scores a circuit once while it is in the population or among
     the current generation's children; the memo holds nothing else."""
@@ -443,6 +488,14 @@ class TestFitnessMemo:
             survivor_selection=survivor, children_per_generation=6,
         )
         evolve(cfg, Spy(), np.random.default_rng(2))
+        n_scored = self.replay(events)
+        assert n_scored < 10 + 8 * 6  # duplicates were requested and skipped
+        assert sizes[0] <= 10 + 6
+
+    @staticmethod
+    def replay(events) -> int:
+        """Assert that no circuit was scored while the population or the
+        current generation's scored children held it; the number scored."""
         held: set[Circuit] = set()  # population + this generation's scored
         n_scored = 0
         for kind, *rest in events:
@@ -452,8 +505,35 @@ class TestFitnessMemo:
                 n_scored += 1
             else:
                 held = {ind.circuit for ind in rest[0]}
-        assert n_scored < 10 + 8 * 6  # duplicates were requested and skipped
-        assert sizes[0] <= 10 + 6
+        return n_scored
+
+    @given(memo_configs(), st.integers(0, 2**32 - 1))
+    def test_memo_contract_under_random_configs(self, cfg, seed):
+        """Under any rules and widths, the memo scores no circuit it holds,
+        holds at most population_size + children_per_generation entries, and
+        changes nothing against scoring every request."""
+        # a function-scoped fixture would be shared by every example
+        with pytest.MonkeyPatch.context() as mp:
+            events, sizes = self.record(mp)
+
+            class Spy(EntanglementFitness):
+                def evaluate(self, circuit):
+                    events.append(("scored", circuit))
+                    return super().evaluate(circuit)
+
+            best, trace = evolve(cfg, Spy(), np.random.default_rng(seed))
+        self.replay(events)
+        resolved = cfg.resolved()
+        assert sizes[0] <= resolved.population_size + resolved.children_per_generation
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Evaluator, "evaluate", engine._Evaluator.score)
+            every, every_trace = evolve(
+                cfg, EntanglementFitness(), np.random.default_rng(seed)
+            )
+        assert [(r.best_fitness, r.mean_fitness) for r in every_trace] == [
+            (r.best_fitness, r.mean_fitness) for r in trace
+        ]
+        assert every.circuit == best.circuit and every.fitness == best.fitness
 
     @pytest.mark.parametrize("survivor", ["truncation", "roulette"])
     def test_only_survivors_entries_remain(self, survivor, monkeypatch):

@@ -10,7 +10,10 @@ tests such as TestSeededTargetRegression do not catch the last-bit case.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,27 +40,120 @@ DEPTHS = range(1, 26)
 
 # sha256 over serialize(circuit), simulate(circuit).tobytes() and
 # run_gates on a seeded (3, 2**n) stack, for every seed, then depth 1-25
-# drawn in order from one generator per seed
+# drawn in order from one generator per seed; one table per core that
+# numpy's bundled OpenBLAS reports (see openblas_core), since each core's
+# zgemm kernel rounds the one-qubit gates' products its own way. Nehalem
+# and Sandybridge gave the same digests.
 DRAW_DIGESTS = {
-    ("full", 1): "19e5c391a63de49906b579da9db187b4476d3c194c09ff5dbf14b033f5fb008a",
-    ("full", 2): "e0a6b704c03b6ee86fa6034d1cd18f86044612baaa89bbeb0f735f842e2b7491",
-    ("full", 3): "b3475f2a34684d7f01b3cd7d16585a64bfd9e0aee388f8c425a38e4343ada0de",
-    ("full", 4): "bc15d60be4e9ae0b6eb74a02c8b2cad21c90e5442c3fb0f73f3bd70378551846",
-    ("full", 5): "375751c86b5f5a4e1bec62c702f2ad7b91ec8c91c01b29fe6a035378dc4ce0d8",
-    ("full", 6): "783d725136207c8e29f66c83dfc7a036a854e229af94e639abb175bae48167e7",
-    ("restricted", 1): "2f2987293c939d4e597af4e323d00085a85f29a727e544340b90ce73043b3234",
-    ("restricted", 2): "8f27aabc8dcdb0e313cee5562fc069f2033565f4cb611276d4d63f83ec6d97f5",
-    ("restricted", 3): "9a3f4abf54f195147c5a5db513f1ea67483ad94ddcbd3042500118dcf3339a46",
-    ("restricted", 4): "01ea91831c2830c1cc1bc049458ca100da5da0553b39b8673d715f59ad2bf073",
-    ("restricted", 5): "d637e1711fa9e23655aac71d5a160c0abae99407ae4988d3c6491a2961c945c0",
-    ("restricted", 6): "f65dd4b0b5a88014cbee692aed8977705618d3e245e5ad94f39bc2c9b9b2cafa",
-    ("pair_heavy", 1): "cdad63c7e197e045472f874689b50cd1896226adf8886b9dbebd9a13aa57c507",
-    ("pair_heavy", 2): "3a664f931a6eccd5d11ec88a8f18e9a361d8f5a2b89ea8d9d00f4bf3adbdcc59",
-    ("pair_heavy", 3): "a657258d0f08f5753a2d9e8df288da2b23801da4fe3e075b006030d1044608a7",
-    ("pair_heavy", 4): "faa8f405e95e3d230b3daa9671b3fa3cffae578b78ff33f401977505e80ea69b",
-    ("pair_heavy", 5): "15a57a67f63bd5aea31d4cb187564cd05b3efb0e8e46ad2305bf536ad7575894",
-    ("pair_heavy", 6): "fe5ecb985fb254c3adca8ee3d6a1f729607442a3cd0e531050358126f5b2172d",
+    "SkylakeX": {
+        ("full", 1): "19e5c391a63de49906b579da9db187b4476d3c194c09ff5dbf14b033f5fb008a",
+        ("full", 2): "e0a6b704c03b6ee86fa6034d1cd18f86044612baaa89bbeb0f735f842e2b7491",
+        ("full", 3): "b3475f2a34684d7f01b3cd7d16585a64bfd9e0aee388f8c425a38e4343ada0de",
+        ("full", 4): "bc15d60be4e9ae0b6eb74a02c8b2cad21c90e5442c3fb0f73f3bd70378551846",
+        ("full", 5): "375751c86b5f5a4e1bec62c702f2ad7b91ec8c91c01b29fe6a035378dc4ce0d8",
+        ("full", 6): "783d725136207c8e29f66c83dfc7a036a854e229af94e639abb175bae48167e7",
+        ("restricted", 1): "2f2987293c939d4e597af4e323d00085a85f29a727e544340b90ce73043b3234",
+        ("restricted", 2): "8f27aabc8dcdb0e313cee5562fc069f2033565f4cb611276d4d63f83ec6d97f5",
+        ("restricted", 3): "9a3f4abf54f195147c5a5db513f1ea67483ad94ddcbd3042500118dcf3339a46",
+        ("restricted", 4): "01ea91831c2830c1cc1bc049458ca100da5da0553b39b8673d715f59ad2bf073",
+        ("restricted", 5): "d637e1711fa9e23655aac71d5a160c0abae99407ae4988d3c6491a2961c945c0",
+        ("restricted", 6): "f65dd4b0b5a88014cbee692aed8977705618d3e245e5ad94f39bc2c9b9b2cafa",
+        ("pair_heavy", 1): "cdad63c7e197e045472f874689b50cd1896226adf8886b9dbebd9a13aa57c507",
+        ("pair_heavy", 2): "3a664f931a6eccd5d11ec88a8f18e9a361d8f5a2b89ea8d9d00f4bf3adbdcc59",
+        ("pair_heavy", 3): "a657258d0f08f5753a2d9e8df288da2b23801da4fe3e075b006030d1044608a7",
+        ("pair_heavy", 4): "faa8f405e95e3d230b3daa9671b3fa3cffae578b78ff33f401977505e80ea69b",
+        ("pair_heavy", 5): "15a57a67f63bd5aea31d4cb187564cd05b3efb0e8e46ad2305bf536ad7575894",
+        ("pair_heavy", 6): "fe5ecb985fb254c3adca8ee3d6a1f729607442a3cd0e531050358126f5b2172d",
+    },
+    "Haswell": {
+        ("full", 1): "c76fe464b2346ae0bf22729cb3befacc9bacda745f7a8749433e2b48b7d4ffb3",
+        ("full", 2): "53873530154cc9c6528612dfb7f310867e5599e8eb22c2a3486cd3bf84ee4a2a",
+        ("full", 3): "413d72e3a869fcd90ed7bfeabb67ec4888696c7f4289121af96e0441661b07a3",
+        ("full", 4): "0346aed01628e8d90e05aec0101147b9160c220ba7d735f4c25769a9ed380710",
+        ("full", 5): "9a3ebc0d84b5ad4cc1c08f0ccd3ba4b04b16ff70c858718f2430fc103f29827d",
+        ("full", 6): "1ac9b7d3447ae848159e855e704ac751e499fc1839fb1c2077f33ba23e4c5796",
+        ("restricted", 1): "e11ae4f88e76e0cdb4a8539bf4db589675520e0a8459fde025273bf177ae8b3a",
+        ("restricted", 2): "1084db1f862826a897c65c6a7647db624142642eba5973e085179608e8cc2cb1",
+        ("restricted", 3): "390833badfca1792b181d24afa2c3d6d6221b572a912be769485daaeb1ff783d",
+        ("restricted", 4): "a128927ace38ec21182dbdc1af950a69b45bdcf40e9b368b07dca33bff75467b",
+        ("restricted", 5): "2cab567e7da034812a1f6587ac970b86893c88a16dd3fcfa7a6a0660a6149558",
+        ("restricted", 6): "32761fe3dabed5aa13e6e36c1ed8fc4f265e9d315ad284c619bef7da9d81d3f1",
+        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
+        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
+        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
+        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
+        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
+        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+    },
+    "Sandybridge": {
+        ("full", 1): "c76fe464b2346ae0bf22729cb3befacc9bacda745f7a8749433e2b48b7d4ffb3",
+        ("full", 2): "180932a6f418e4caea773d91071832660083aa84bc82698e41749b4879d00e58",
+        ("full", 3): "e68422b234752c9d8fdb504f308454383175a0e96a196928f4d073034442ae66",
+        ("full", 4): "1be1236b64f90d91b0b372d39ae2156eec903db1d49958cd179bca83a83e8780",
+        ("full", 5): "16078ef63fe8636b1aef4647baabed05a22427504ebf0183e4895427664db987",
+        ("full", 6): "869c6dd6a610f729aa4ad41e3cc030baaca5ac40e885351ed356b7f31bb09c9c",
+        ("restricted", 1): "e11ae4f88e76e0cdb4a8539bf4db589675520e0a8459fde025273bf177ae8b3a",
+        ("restricted", 2): "1084db1f862826a897c65c6a7647db624142642eba5973e085179608e8cc2cb1",
+        ("restricted", 3): "390833badfca1792b181d24afa2c3d6d6221b572a912be769485daaeb1ff783d",
+        ("restricted", 4): "a128927ace38ec21182dbdc1af950a69b45bdcf40e9b368b07dca33bff75467b",
+        ("restricted", 5): "2cab567e7da034812a1f6587ac970b86893c88a16dd3fcfa7a6a0660a6149558",
+        ("restricted", 6): "32761fe3dabed5aa13e6e36c1ed8fc4f265e9d315ad284c619bef7da9d81d3f1",
+        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
+        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
+        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
+        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
+        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
+        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+    },
+    "Katmai": {
+        ("full", 1): "b42adb5522a88c722ba9e62ed5fc931286f82e3fdb8d59f2efdcb681d1cb3e86",
+        ("full", 2): "94c8c578e0296a3705cae41eb7153d76f003f2c55f14f5c56b9e47b41bd193aa",
+        ("full", 3): "d756142b52a878c6ddcce148097bd624a321812bb26511da4afa50c39257a0b5",
+        ("full", 4): "ba1f81683f47ab8579b15e053fef0d9c833586f3218853227abe976e7de81207",
+        ("full", 5): "9da1be2f8ddddb2f95cee26abbaef5dc526eed219e28c38ad1518b603987d3cb",
+        ("full", 6): "daa7b16e7a19a4dfe677a6045b3451e9b33f5d3dc2f77f5bac2a07c7156b7685",
+        ("restricted", 1): "ce8e0a0f64e21b3ca1dbd3b97f59bc871617df053526d7122c158f74315a5223",
+        ("restricted", 2): "2b5931cc78cb6600ed4f1e30e029b4e07205755558500e8e33c4bd6be2a42cc6",
+        ("restricted", 3): "be7dccc6dc392a9f7fb5887680c1ef4c0e6c90bc437ec28d86ac5220bfa7cca8",
+        ("restricted", 4): "c745fc8acd22ed51b9497b190f0d5ffa0890ef0726dd3b6ada8e50f6f1ecead9",
+        ("restricted", 5): "66cca4bc8aa8fc96d30f0fa7578314b432b2a95cb8e84eaf32d308bd594d846b",
+        ("restricted", 6): "9657e216078dc9ba9188af6984efa6c28b12a33a439e772fb8713bd2eca1bba1",
+        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
+        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
+        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
+        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
+        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
+        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+    },
 }
+DRAW_DIGESTS["Nehalem"] = DRAW_DIGESTS["Sandybridge"]
+
+
+@cache
+def openblas_core() -> str:
+    """The core whose kernels numpy's bundled OpenBLAS runs, as the library
+    names it. OPENBLAS_CORETYPE forces one, and several forced names share
+    a core: Prescott reports Katmai, Zen Haswell, Cooperlake SkylakeX."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        pytest.fail(f"no libscipy_openblas64_*.so in {libs} to name the OpenBLAS core")
+    try:
+        corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    except (OSError, AttributeError) as exc:
+        pytest.fail(f"cannot ask {found[0]} for its OpenBLAS core: {exc}")
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def recorded_for_this_core(tables: dict[str, dict]) -> dict:
+    core = openblas_core()
+    if core not in tables:
+        pytest.fail(
+            f"no amplitude digests recorded for OpenBLAS core {core!r}; "
+            f"recorded: {', '.join(sorted(tables))}"
+        )
+    return tables[core]
 
 
 def _stack(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,27 +176,46 @@ def _simulation_digest(gate_set: str, width: int, depths) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("gate_set,width", sorted(DRAW_DIGESTS))
+@pytest.mark.parametrize("gate_set,width", sorted(DRAW_DIGESTS["SkylakeX"]))
 def test_random_circuit_and_simulation_bits(gate_set, width):
-    assert _simulation_digest(gate_set, width, DEPTHS) == DRAW_DIGESTS[gate_set, width]
+    expected = recorded_for_this_core(DRAW_DIGESTS)[gate_set, width]
+    assert _simulation_digest(gate_set, width, DEPTHS) == expected
 
 
 # the same at widths where one-qubit gates on qubits >= 2 reach the
 # one-call layout of `simulator._run` (single states and the (3, 2**n)
-# stacks at 9 qubits, single states at 13), over fewer depths; recorded
-# with one np.matmul call per block alone
+# stacks at 9 qubits, single states at 13), over fewer depths; the SkylakeX
+# digests were recorded with one np.matmul call per block alone
 WIDE_DEPTHS = (1, 3, 7)
 WIDE_DIGESTS = {
-    ("full", 9): "f6f7cc533b3ca32991d06f5da66459d1340789f076d8324fe0325025aba7b741",
-    ("full", 13): "0eec41ad78bf355630622d8617d6b387cc61fb9a65edf6945dd913b288871d58",
-    ("restricted", 13): "23c1d94174f1688efdf95b8a423cf0d38366eba1d8965e492cc493b4c2ec5ce3",
+    "SkylakeX": {
+        ("full", 9): "f6f7cc533b3ca32991d06f5da66459d1340789f076d8324fe0325025aba7b741",
+        ("full", 13): "0eec41ad78bf355630622d8617d6b387cc61fb9a65edf6945dd913b288871d58",
+        ("restricted", 13): "23c1d94174f1688efdf95b8a423cf0d38366eba1d8965e492cc493b4c2ec5ce3",
+    },
+    "Haswell": {
+        ("full", 9): "53cd4967dce2f83c0cf7fe9823964692a36677115c3036359e0a675c17c4fa06",
+        ("full", 13): "40bb568503a15ecd072de813aeb7c8092df30f4bded5978d47ed6b75af670686",
+        ("restricted", 13): "908369f56c116b704f4436c7ad75611b46767f0b04ff445cd53e764d3ad4496a",
+    },
+    "Sandybridge": {
+        ("full", 9): "cae7879c39352b154f3f4a318011cad13e3d7c5c32869b48cef2db8e69dbaeb7",
+        ("full", 13): "1cca33fb2e1d65fa66f6a1fba37d222edfe0968a74ce7cbc25857aeb0ee875b7",
+        ("restricted", 13): "908369f56c116b704f4436c7ad75611b46767f0b04ff445cd53e764d3ad4496a",
+    },
+    "Katmai": {
+        ("full", 9): "942f223867a2571a39f9d6bb029cc6a31e8996bb1e8330dd0384037cc9700c74",
+        ("full", 13): "3b5ac6c78043ca058a7b4e0ad0f1a9540e1290b453b5a689601a55e3e310aeaf",
+        ("restricted", 13): "8142f0b78b85ac4ce26667f890aff22dded8df082bfc2ff42a6ecb9df5039538",
+    },
 }
+WIDE_DIGESTS["Nehalem"] = WIDE_DIGESTS["Sandybridge"]
 
 
-@pytest.mark.parametrize("gate_set,width", sorted(WIDE_DIGESTS))
+@pytest.mark.parametrize("gate_set,width", sorted(WIDE_DIGESTS["SkylakeX"]))
 def test_wide_simulation_bits(gate_set, width):
     digest = _simulation_digest(gate_set, width, WIDE_DEPTHS)
-    assert digest == WIDE_DIGESTS[gate_set, width]
+    assert digest == recorded_for_this_core(WIDE_DIGESTS)[gate_set, width]
 
 
 def _draw_digest(gate_set: str, width: int, make_rng) -> str:
