@@ -133,12 +133,13 @@ def validate(circuit: Circuit) -> None:
                     raise CircuitStructureError(f"cell ({r}, {c}): {problem}")
 
 
-def is_valid(circuit: Circuit) -> bool:
-    try:
-        validate(circuit)
-    except CircuitStructureError:
-        return False
-    return True
+def _with_cells(circuit: Circuit, cells: dict[tuple[int, int], Gate]) -> Circuit:
+    """A copy of `circuit` whose cell (row, col) is `cells[row, col]` for
+    every key of `cells`."""
+    grid = [list(row) for row in circuit.grid]
+    for (r, c), g in cells.items():
+        grid[r][c] = g
+    return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
 
 
 # the kinds a cell draws from: (one-qubit kinds, all kinds), each sorted by

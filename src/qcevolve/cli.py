@@ -486,11 +486,27 @@ def _alongside(fn, *args):
             os.waitpid(pid, 0)
 
 
+@contextmanager
+def _writing_in(directory: Path):
+    """Turn an OSError in the block into a QcevolveError naming the file it
+    names, or else `directory`."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or directory
+        raise QcevolveError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     """Run GA + baseline for every target x repeat; write all artifacts."""
     cfg = spec.run_config.resolved()
     out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {out_dir}: {exc.strerror or exc}"
+        ) from None
     targets = _build_targets(spec)
     all_traces: list[list[GenerationRecord]] = []
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
@@ -510,12 +526,13 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
                 for i, rec in enumerate(trace)
             ]
             run_dir = out_dir / f"{target_name}_rep{rep}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            emit_trace_csv(trace, run_dir / "trace.csv")
-            (run_dir / "best_circuit.json").write_text(serialize(best.circuit) + "\n")
-            (run_dir / "best_circuit.qasm").write_text(export_qasm(best.circuit))
-            if target is not None:
-                write_statevector(target, run_dir / "target_state.txt")
+            with _writing_in(run_dir):
+                run_dir.mkdir(parents=True, exist_ok=True)
+                emit_trace_csv(trace, run_dir / "trace.csv")
+                (run_dir / "best_circuit.json").write_text(serialize(best.circuit) + "\n")
+                (run_dir / "best_circuit.qasm").write_text(export_qasm(best.circuit))
+                if target is not None:
+                    write_statevector(target, run_dir / "target_state.txt")
             best_fit = max(rec.best_fitness for rec in trace)
             base_best = max(rec.baseline_best_fitness for rec in trace)
             summary_rows.append(
@@ -529,8 +546,9 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
                     f"baseline={base_best:.6f}"
                 )
             run_index += 1
-    (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
-    emit_convergence_svg(all_traces, out_dir / "convergence.svg")
+    with _writing_in(out_dir):
+        (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
+        emit_convergence_svg(all_traces, out_dir / "convergence.svg")
     return 0
 
 

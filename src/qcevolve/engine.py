@@ -113,14 +113,6 @@ class RunConfig:
             check_mutation_weights(cfg.mutation_weights)
         return cfg
 
-    def mutation_context(self) -> MutationContext:
-        return MutationContext(
-            gate_set=self.gate_set,
-            min_qubits=self.min_qubits,
-            max_qubits=self.max_qubits,
-            max_depth=self.max_depth,
-        )
-
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -274,7 +266,7 @@ def evolve(
     per-generation statistics trace (generations + 1 records)."""
     cfg = config.resolved()
     fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
-    ctx = cfg.mutation_context()
+    ctx = MutationContext(cfg.gate_set, cfg.min_qubits, cfg.max_qubits, cfg.max_depth)
     evaluator = _Evaluator(fitness_fn)
 
     members = [

@@ -12,8 +12,8 @@ from typing import Callable
 import numpy as np
 
 from . import simulator
-from .circuit import Circuit, Gate, theta_cells
-from .errors import ConfigurationError
+from .circuit import Circuit, Gate, _with_cells, theta_cells
+from .errors import ConfigurationError, QcevolveError
 from .simulator import (
     apply_gate,
     fidelity,
@@ -185,11 +185,12 @@ FD_STEP = 1e-3  # step of the central finite differences in MLFitness training
 def _with_thetas(
     circuit: Circuit, cells: list[tuple[int, int]], thetas: np.ndarray
 ) -> Circuit:
-    grid = [list(row) for row in circuit.grid]
-    for (r, c), t in zip(cells, thetas):
-        g = grid[r][c]
-        grid[r][c] = Gate(g.kind, g.role, float(t), g.partner)
-    return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
+    grid = circuit.grid
+    new = {}
+    for cell, t in zip(cells, thetas.tolist()):
+        g = grid[cell[0]][cell[1]]
+        new[cell] = Gate(g.kind, g.role, t, g.partner)
+    return _with_cells(circuit, new)
 
 
 def _encode_features(n_qubits: int, features: np.ndarray) -> np.ndarray:
@@ -262,7 +263,8 @@ class MLFitness(FitnessFunction):
 
         Central finite differences and plain gradient descent on the
         mean-squared error of the <Z_0> predictor against +-1 labels.
-        The input circuit is never modified.
+        The input circuit is never modified. QcevolveError if a step leaves
+        an angle that is not finite.
         """
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
@@ -278,7 +280,7 @@ class MLFitness(FitnessFunction):
             trial = _with_thetas(circuit, cells, vec)
             return _mse_loss(_predictions(trial, encoded), labels)
 
-        for _ in range(self.train_steps):
+        for step in range(1, self.train_steps + 1):
             grad = np.empty_like(thetas)
             for i in range(len(thetas)):
                 up = thetas.copy()
@@ -286,7 +288,13 @@ class MLFitness(FitnessFunction):
                 down = thetas.copy()
                 down[i] -= FD_STEP
                 grad[i] = (loss(up) - loss(down)) / (2 * FD_STEP)
-            thetas = thetas - self.learning_rate * grad
+            with np.errstate(over="ignore", invalid="ignore"):
+                thetas = thetas - self.learning_rate * grad
+            if not np.isfinite(thetas).all():
+                raise QcevolveError(
+                    f"fitness '{self.name}': training step {step} left a rotation "
+                    f"angle that is not finite (learning_rate = {self.learning_rate})"
+                )
         trained = _with_thetas(circuit, cells, thetas)
         return _accuracy(_predictions(trained, encoded), labels), trained
 

@@ -14,6 +14,7 @@ from .circuit import (
     Role,
     _draw_gate,
     _draw_table,
+    _with_cells,
     from_columns,
     pad_to,
     random_column,
@@ -38,13 +39,10 @@ class Individual:
 def select_random(
     members: list[Individual], count: int, rng: np.random.Generator
 ) -> list[Individual]:
-    """Uniform selection with replacement; fitness is ignored."""
-    if not members:
-        raise ValueError("population is empty")
-    if count < 1:
-        raise ValueError(f"count {count} must be >= 1")
-    idx = rng.integers(len(members), size=count)
-    return [members[i] for i in idx]
+    """Uniform selection with replacement; fitness is ignored. A tournament
+    of one entrant: it draws what `rng.integers(len(members), size=count)`
+    draws, and its tie-break takes no draw."""
+    return select_tournament(members, count, 1, rng)
 
 
 def _tournament_winner(
@@ -160,13 +158,9 @@ def crossover_blockwise(
         return a, b
     row_cut = int(rng.integers(1, a.n_qubits))
     col_cut = int(rng.integers(1, a.depth))
-    grid1 = [list(row) for row in a.grid]
-    grid2 = [list(row) for row in b.grid]
-    for r in range(row_cut):
-        for c in range(col_cut):
-            grid1[r][c], grid2[r][c] = grid2[r][c], grid1[r][c]
-    c1 = repair(Circuit(a.n_qubits, tuple(tuple(r) for r in grid1)), rng)
-    c2 = repair(Circuit(a.n_qubits, tuple(tuple(r) for r in grid2)), rng)
+    rows, cols = range(row_cut), range(col_cut)
+    c1 = repair(_with_cells(a, {(r, c): b.grid[r][c] for r in rows for c in cols}), rng)
+    c2 = repair(_with_cells(b, {(r, c): a.grid[r][c] for r in rows for c in cols}), rng)
     return c1, c2
 
 
@@ -202,10 +196,7 @@ def mutate_single_gate_flip(
             continue  # already claimed by a freshly placed two-qubit gate
         free_other = [i for i in range(n) if i != row and cells[i].kind is GateKind.ID]
         _draw_gate(cells, row, free_other, table, rng)
-    grid = tuple(
-        old[:c] + (new,) + old[c + 1 :] for old, new in zip(circuit.grid, cells)
-    )
-    return Circuit(n, grid)
+    return _with_cells(circuit, {(row, c): g for row, g in enumerate(cells)})
 
 
 def gate_set_of(ctx: MutationContext) -> frozenset[GateKind]:
@@ -227,10 +218,11 @@ def mutate_swap_control(
     r, c = controls[rng.integers(len(controls))]
     g = circuit.grid[r][c]
     p = g.partner
-    grid = [list(row) for row in circuit.grid]
-    grid[r][c] = shared_cell(g.kind, Role.TARGET, p)
-    grid[p][c] = shared_cell(g.kind, Role.CONTROL, r)
-    return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
+    swapped = {
+        (r, c): shared_cell(g.kind, Role.TARGET, p),
+        (p, c): shared_cell(g.kind, Role.CONTROL, r),
+    }
+    return _with_cells(circuit, swapped)
 
 
 def mutate_qubit_count(
@@ -307,11 +299,8 @@ def mutate_parameter(
         return circuit
     r, c = cells[rng.integers(len(cells))]
     g = circuit.grid[r][c]
-    grid = [list(row) for row in circuit.grid]
-    grid[r][c] = Gate(
-        g.kind, g.role, g.theta + float(rng.normal(0.0, PARAMETER_SIGMA)), g.partner
-    )
-    return Circuit(circuit.n_qubits, tuple(tuple(row) for row in grid))
+    theta = g.theta + float(rng.normal(0.0, PARAMETER_SIGMA))
+    return _with_cells(circuit, {(r, c): Gate(g.kind, g.role, theta, g.partner)})
 
 
 MUTATION_METHODS = (

@@ -17,7 +17,6 @@ from qcevolve.circuit import (
     deserialize,
     export_qasm,
     from_columns,
-    is_valid,
     pad_to,
     random_circuit,
     repair,
@@ -220,11 +219,10 @@ class TestValidate:
         with pytest.raises(CircuitStructureError, match="^3 rows for 2 qubits$"):
             validate(Circuit(2, ((ID,),) * 3))
 
-    def test_is_valid(self, rng):
-        assert is_valid(random_circuit(2, 2, FULL_GATE_SET, rng))
-        assert not is_valid(
-            Circuit(1, ((Gate(GateKind.RX, theta=None),),))
-        )
+    def test_random_circuit_valid_and_missing_theta_rejected(self, rng):
+        validate(random_circuit(2, 2, FULL_GATE_SET, rng))
+        with pytest.raises(CircuitStructureError, match="theta must be present"):
+            validate(Circuit(1, ((Gate(GateKind.RX, theta=None),),)))
 
 
 class TestHashing:
@@ -252,7 +250,8 @@ class TestHashing:
         ]
         assert _pair_problem(columns, 0, 0) == "partner cell (1, 0) does not match"
         assert _pair_problem(columns, 1, 0) == "partner cell (0, 0) does not match"
-        assert not is_valid(from_columns(2, columns))
+        with pytest.raises(CircuitStructureError, match="does not match"):
+            validate(from_columns(2, columns))
 
     def test_pickled_circuit_equals_fresh_one(self, rng):
         c = random_circuit(3, 6, FULL_GATE_SET, rng)

@@ -687,6 +687,37 @@ class TestMalformedInputs:
         argv = ["eval", str(circuit), "--target", str(target)]
         self.rejected(capsys, monkeypatch, argv, [fragment])
 
+    @pytest.mark.parametrize(
+        "below,reason", [(None, "File exists"), ("sub", "Not a directory")]
+    )
+    def test_unusable_output_directory(self, tmp_path, capsys, monkeypatch, below, reason):
+        out = tmp_path / "afile"
+        out.write_text("")
+        if below is not None:
+            out = out / below
+        argv = ["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out)]
+        err = self.rejected(capsys, monkeypatch, argv, [])
+        assert err == f"error: cannot create output directory {out}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "blocker,reason",
+        [
+            ("target0_rep0", "File exists"),
+            ("target0_rep0/trace.csv", "Is a directory"),
+            ("summary.csv", "Is a directory"),
+        ],
+    )
+    def test_unwritable_artifact_is_a_run_failure(self, tmp_path, capsys, blocker, reason):
+        out = tmp_path / "out"
+        if blocker == "target0_rep0":
+            out.mkdir()
+            (out / blocker).write_text("")
+        else:
+            (out / blocker).mkdir(parents=True)
+        argv = ["run", str(write_config(tmp_path, SMALL_RUN)), "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"run failed: cannot write {out / blocker}: {reason}\n"
+
     def test_header_after_comments(self, tmp_path, files):
         files["data"].write_text("# made by hand\n\nf1,f2,label\n0.1,0.9,0\n0.8,0.2,1\n")
         config = SMALL_RUN + ML.format(**files) + "train_steps = 1\n"
@@ -862,6 +893,17 @@ class TestBaselineAlongside:
         assert code == 1
         assert capsys.readouterr().err == "run failed: ga broke\n"
         assert time.monotonic() - t0 < 30  # the slow child was killed
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
+    def test_diverging_training_is_a_run_failure(self, tmp_path, monkeypatch, capsys, path):
+        text = ml_config(tmp_path) + "learning_rate = 1e308\ngate_set = rx,ry,rz\n"
+        code, out = self.run(tmp_path, monkeypatch, path, text.replace("depth = 2", "depth = 3"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: fitness 'ml': training step ")
+        assert err.endswith(" left a rotation angle that is not finite (learning_rate = 1e+308)\n")
+        assert err.count("\n") == 1
+        assert not (out / "target0_rep0").exists()
 
     def test_child_killed_by_a_signal(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(

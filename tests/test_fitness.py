@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import bell_circuit, ghz3_circuit
 
 from qcevolve.circuit import Circuit, Gate, random_circuit
-from qcevolve.errors import ConfigurationError
+from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.fitness import (
     Dataset,
     EntanglementFitness,
@@ -146,6 +148,23 @@ class TestMLFitness:
         # input circuit untouched, trained parameters returned separately
         assert c.grid[0][0].theta == 0.4
         assert trained.grid[0][0].theta != 0.4
+
+    def test_angle_past_the_float_range_is_a_run_failure(self):
+        # every sample encodes to |00> with label 1: the loss (cos t + 1)**2
+        # has slope -2.6 at t = pi/3, so the first step overflows
+        ds = Dataset(np.zeros((4, 2)), np.ones(4, dtype=int))
+        c = rx_rz_circuit(np.pi / 3, 0.1)
+        message = (
+            "fitness 'ml': training step 1 left a rotation angle that is not "
+            "finite (learning_rate = 1e+308)"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QcevolveError) as exc:
+                MLFitness(ds, train_steps=3, learning_rate=1e308).evaluate_trained(c)
+            assert str(exc.value) == message
+            # a huge angle that stays finite is no error
+            MLFitness(ds, train_steps=3, learning_rate=1e307).evaluate_trained(c)
 
     def test_feature_count_exceeds_qubits(self):
         ds = separable_dataset()

@@ -18,14 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcevolve.circuit import random_circuit, serialize
+from qcevolve.circuit import IDENTITY, Circuit, random_circuit, serialize
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
+    Individual,
     MutationContext,
     crossover_blockwise,
     crossover_multi_point,
     crossover_single_point,
+    select_random,
+    select_roulette,
+    select_tournament,
 )
 from qcevolve.simulator import run_gates, simulate
 
@@ -365,3 +369,42 @@ def test_mutation_outputs(method, gate_set):
         lambda a, b, rng: (fn(a, rng, ctx), fn(b, rng, ctx)), GATE_SETS[gate_set]
     )
     assert digest == MUTATION_DIGESTS[method, gate_set]
+
+
+# fitness of each population a selection draws from: one member, a tie,
+# and seven with ties and negative values
+SELECTION_POPULATIONS = ((0.5,), (1.0, 1.0), (0.3, -0.2, 0.3, 0.9, 0.9, -1.5, 0.0))
+SELECTIONS = {
+    "random": select_random,
+    "tournament_1": lambda members, count, rng: select_tournament(members, count, 1, rng),
+    "tournament_2": lambda members, count, rng: select_tournament(members, count, 2, rng),
+    "tournament_3": lambda members, count, rng: select_tournament(members, count, 3, rng),
+    "roulette": select_roulette,
+}
+# sha256 over the indices each selection picks, for seeds 0-2, every
+# population above and counts 1, 2 and 5 drawn in order from one generator
+# per seed, and the generator's next 8 bytes. Random selection is a
+# tournament of one entrant, and draws the same numbers.
+SELECTION_DIGESTS = {
+    "random": "663a0ef1cf435162644692b9c5c3f45c72af446919500c52952ea397aef631d5",
+    "tournament_1": "663a0ef1cf435162644692b9c5c3f45c72af446919500c52952ea397aef631d5",
+    "tournament_2": "a4d1dbcc825aec0a2dbb9dd42da8cf9ca3952d326ebce88d6eb11b24feb06f54",
+    "tournament_3": "98cf16d16c36c23565299581c4c8eab61f88c1af58e28e6416855bbe02b839fe",
+    "roulette": "fc7f9d294e300277b2d3f064df8b29ec9df825fed2b54c26d1d183e3747f1a8f",
+}
+
+
+@pytest.mark.parametrize("method", sorted(SELECTION_DIGESTS))
+def test_selection_draws(method):
+    one_cell = Circuit(1, ((IDENTITY,),))
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for fitnesses in SELECTION_POPULATIONS:
+            members = [Individual(one_cell, f) for f in fitnesses]
+            index = {id(m): i for i, m in enumerate(members)}
+            for count in (1, 2, 5):
+                picked = SELECTIONS[method](members, count, rng)
+                h.update(bytes(index[id(m)] for m in picked))
+        h.update(rng.bytes(8))
+    assert h.hexdigest() == SELECTION_DIGESTS[method]
