@@ -162,10 +162,13 @@ class EntanglementFitness(FitnessFunction):
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
         state = simulate(circuit)
-        entropies = [
-            von_neumann_entropy(partial_trace(state, {k})) for k in range(n)
-        ]
-        return float(np.mean(entropies))
+        # row k is the state with qubit k moved to the top bit, so one
+        # partial trace over the top bit gives every one-qubit marginal
+        rows = np.empty((n, len(state)), dtype=state.dtype)
+        for k in range(n):
+            moved = state.reshape(-1, 2, 1 << k).transpose(1, 0, 2)
+            rows[k].reshape(2, -1, 1 << k)[...] = moved
+        return float(np.mean(von_neumann_entropy(partial_trace(rows, {n - 1}))))
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
@@ -264,7 +267,8 @@ class MLFitness(FitnessFunction):
         Central finite differences and plain gradient descent on the
         mean-squared error of the <Z_0> predictor against +-1 labels.
         The input circuit is never modified. QcevolveError if a step leaves
-        an angle that is not finite.
+        an angle that is not finite, or one so large that theta + FD_STEP
+        and theta - FD_STEP are the same float.
         """
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
@@ -294,6 +298,14 @@ class MLFitness(FitnessFunction):
                 raise QcevolveError(
                     f"fitness '{self.name}': training step {step} left a rotation "
                     f"angle that is not finite (learning_rate = {self.learning_rate})"
+                )
+            # from about 5e12 on, theta +- FD_STEP rounds to one value: every
+            # later gradient would be 0 and training would stop silently
+            if (thetas + FD_STEP == thetas - FD_STEP).any():
+                raise QcevolveError(
+                    f"fitness '{self.name}': training step {step} left a rotation "
+                    f"angle too large for the finite-difference step FD_STEP = "
+                    f"{FD_STEP} (learning_rate = {self.learning_rate})"
                 )
         trained = _with_thetas(circuit, cells, thetas)
         return _accuracy(_predictions(trained, encoded), labels), trained

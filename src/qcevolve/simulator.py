@@ -165,8 +165,16 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def partial_trace(state: np.ndarray, keep: set[int] | list[int]) -> np.ndarray:
-    """Reduced density matrix over `keep` (little-endian over sorted keep)."""
-    n = n_qubits_of(state)
+    """Reduced density matrix over `keep` (little-endian over sorted keep)
+    of one state (2**n,), or of each row of a (batch, 2**n) stack, giving
+    (batch, d, d); each row is reduced exactly as it would be alone."""
+    batch = state.shape[:-1]
+    if state.ndim not in (1, 2) or 0 in batch:
+        raise ValueError(
+            f"partial_trace takes a state (2**n,) or a nonempty stack "
+            f"(batch, 2**n), got shape {state.shape}"
+        )
+    n = n_qubits_of(state[0] if batch else state)
     keep = sorted(set(keep))
     if not keep or len(keep) >= n:
         raise ValueError("keep must be a nonempty proper subset of the qubits")
@@ -174,19 +182,26 @@ def partial_trace(state: np.ndarray, keep: set[int] | list[int]) -> np.ndarray:
         raise ValueError(f"keep {keep} out of range for {n} qubits")
     axes_keep = [n - 1 - q for q in reversed(keep)]
     axes_out = [a for a in range(n) if a not in axes_keep]
-    psi = state.reshape([2] * n).transpose(axes_keep + axes_out)
-    psi = psi.reshape(2 ** len(keep), -1)
-    return psi @ psi.conj().T
+    b = len(batch)
+    psi = state.reshape(batch + (2,) * n)
+    psi = psi.transpose([*range(b), *(b + a for a in axes_keep + axes_out)])
+    psi = psi.reshape(batch + (2 ** len(keep), -1))
+    return psi @ psi.conj().swapaxes(-1, -2)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(lam * log2 lam) of a density matrix, in bits."""
-    h = rho.conj().T
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Entropy -sum(lam * log2 lam) of a density matrix, in bits: a float
+    for one (d, d) matrix, one entropy per matrix of a (..., d, d) stack."""
+    h = rho.conj().swapaxes(-1, -2)
     # np.allclose(rho, h, atol=1e-8) at a third of its cost, except that any
     # non-finite entry fails: d - tol <= 0 is d <= tol for finite d and tol,
     # and False where an inf or nan makes either one inf or nan (inf - inf)
-    if not (np.abs(rho - h) - (1e-8 + 1e-5 * np.abs(h)) <= 0).all():
+    with np.errstate(invalid="ignore"):
+        hermitian = (np.abs(rho - h) - (1e-8 + 1e-5 * np.abs(h)) <= 0).all()
+    if not hermitian:
         raise ValueError("density matrix is not Hermitian")
     lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > 1e-12]  # clamp numerical negatives / zeros
-    return float(-np.sum(lam * np.log2(lam)))
+    # numerical negatives and zeros become 1, whose term 1 * log2(1) is 0.0
+    lam = np.where(lam > 1e-12, lam, 1.0)
+    entropy = -np.sum(lam * np.log2(lam), axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy

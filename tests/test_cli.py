@@ -896,13 +896,30 @@ class TestBaselineAlongside:
 
     @pytest.mark.parametrize("path", ["forked", "in_process"])
     def test_diverging_training_is_a_run_failure(self, tmp_path, monkeypatch, capsys, path):
+        # at seed 2 the first circuit trained has a gradient of 1.97 > 1.8,
+        # so its first step overflows; at most seeds every gradient is
+        # smaller, and the angle stops at the finite-difference check below
         text = ml_config(tmp_path) + "learning_rate = 1e308\ngate_set = rx,ry,rz\n"
-        code, out = self.run(tmp_path, monkeypatch, path, text.replace("depth = 2", "depth = 3"))
+        text = text.replace("depth = 2", "depth = 3").replace("seed = 5", "seed = 2")
+        code, out = self.run(tmp_path, monkeypatch, path, text)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: fitness 'ml': training step ")
         assert err.endswith(" left a rotation angle that is not finite (learning_rate = 1e+308)\n")
         assert err.count("\n") == 1
+        assert not (out / "target0_rep0").exists()
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
+    def test_frozen_training_is_a_run_failure(self, tmp_path, monkeypatch, capsys, path):
+        # every gradient is at most 4, so no angle overflows, but one step
+        # takes some angle past 5e12, where theta +- FD_STEP is one float
+        text = ml_config(tmp_path) + "learning_rate = 1e20\n"
+        code, out = self.run(tmp_path, monkeypatch, path, text)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "run failed: fitness 'ml': training step 1 left a rotation angle too "
+            "large for the finite-difference step FD_STEP = 0.001 (learning_rate = 1e+20)\n"
+        )
         assert not (out / "target0_rep0").exists()
 
     def test_child_killed_by_a_signal(self, tmp_path, monkeypatch, capsys):

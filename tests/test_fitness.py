@@ -19,7 +19,7 @@ from qcevolve.fitness import (
     register_fitness,
 )
 from qcevolve.gates import FULL_GATE_SET, GateKind
-from qcevolve.simulator import run_gates, simulate
+from qcevolve.simulator import partial_trace, run_gates, simulate
 
 ID = Gate(GateKind.ID)
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -93,6 +93,39 @@ class TestEntanglementFitness:
             f = EntanglementFitness().evaluate(random_circuit(3, 5, FULL_GATE_SET, rng))
             assert -1e-9 <= f <= 1.0 + 1e-9
 
+    @staticmethod
+    def differing_scores(entropy):
+        """Seeded circuits of 2-5 qubits and depth 1-16 whose score differs
+        in any bit from the former per-qubit loop, `entropy` reducing each
+        one-qubit marginal there."""
+        rng = np.random.default_rng(2024)
+        differ = []
+        for _ in range(300):
+            n, depth = int(rng.integers(2, 6)), int(rng.integers(1, 17))
+            c = random_circuit(n, depth, FULL_GATE_SET, rng)
+            state = simulate(c)
+            oracle = np.mean([entropy(partial_trace(state, {k})) for k in range(n)])
+            got = EntanglementFitness().evaluate(c)
+            if np.float64(got).tobytes() != np.float64(oracle).tobytes():
+                differ.append(c)
+        return differ
+
+    def test_stacked_score_has_the_bits_of_the_per_qubit_loop(self):
+        def former_entropy(rho):
+            lam = np.linalg.eigvalsh(rho)
+            lam = lam[lam > 1e-12]
+            return float(-np.sum(lam * np.log2(lam)))
+
+        assert self.differing_scores(former_entropy) == []
+
+    def test_bit_comparison_sees_a_mutated_reduction(self):
+        def unclamped_entropy(rho):
+            lam = np.linalg.eigvalsh(rho)
+            return float(-np.sum(lam * np.log2(lam)))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert self.differing_scores(unclamped_entropy) != []
+
 
 def separable_dataset():
     # label is sign of the first feature: linearly separable, XOR-free
@@ -163,8 +196,22 @@ class TestMLFitness:
             with pytest.raises(QcevolveError) as exc:
                 MLFitness(ds, train_steps=3, learning_rate=1e308).evaluate_trained(c)
             assert str(exc.value) == message
-            # a huge angle that stays finite is no error
-            MLFitness(ds, train_steps=3, learning_rate=1e307).evaluate_trained(c)
+            # a large angle that FD_STEP still moves is no error
+            MLFitness(ds, train_steps=3, learning_rate=1e9).evaluate_trained(c)
+
+    def test_angle_past_the_finite_difference_step_is_a_run_failure(self):
+        # the first step takes theta to about 1e307, where theta + FD_STEP
+        # and theta - FD_STEP round to theta and every gradient would be 0
+        c = rx_rz_circuit(0.4, 0.1)
+        message = (
+            "fitness 'ml': training step 1 left a rotation angle too large for "
+            "the finite-difference step FD_STEP = 0.001 (learning_rate = 1e+308)"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QcevolveError) as exc:
+                MLFitness(separable_dataset(), 3, learning_rate=1e308).evaluate_trained(c)
+        assert str(exc.value) == message
 
     def test_feature_count_exceeds_qubits(self):
         ds = separable_dataset()

@@ -324,8 +324,8 @@ class TestVonNeumannEntropy:
     # on the diagonal, d <= tol passes inf <= inf for these two
     @example(2, [0.0] * 32, 0, 0, 1.0, 1.0, NAN_INF_J)
     @example(4, [0.5] * 32, 3, 3, 1.0, 1.0, INF_J)
-    # inf - inf warns before the check rejects the matrix
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    # inf - inf must not warn before the check rejects the matrix
+    @pytest.mark.filterwarnings("error")
     def test_hermitian_check_is_allclose(self, d, xs, i, j, unit, edge, bad):
         """Where `np.allclose(rho, rho^H, atol=1e-8)` fails, or an entry is
         not finite, the same error; elsewhere the bits of the former
@@ -363,3 +363,59 @@ class TestVonNeumannEntropy:
             s1 = von_neumann_entropy(partial_trace(psi, keep))
             s2 = von_neumann_entropy(partial_trace(psi, comp))
             assert s1 == pytest.approx(s2, abs=1e-8)
+
+
+class TestStackContracts:
+    """`partial_trace` takes a (batch, 2**n) stack and `von_neumann_entropy`
+    a (..., d, d) stack; each row or matrix gives the bytes it gives alone."""
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_partial_trace_rows_match_single_states(self, n, batch, seed, data):
+        keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(batch, 2**n)) + 1j * rng.normal(size=(batch, 2**n))
+        got = partial_trace(stack, keep)
+        d = 2 ** len(keep)
+        assert got.shape == (batch, d, d)
+        for row, rho in zip(stack, got):
+            assert rho.tobytes() == partial_trace(row, keep).tobytes()
+
+    @given(st.sampled_from([2, 4]), st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_entropy_matrices_match_single_matrices(self, d, k, seed, data):
+        rank = data.draw(st.integers(1, d))  # rank < d exercises the clamp
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(k, d, rank)) + 1j * rng.normal(size=(k, d, rank))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        got = von_neumann_entropy(rho)
+        assert got.shape == (k,)
+        for r, s in zip(rho, got):
+            assert np.float64(s).tobytes() == np.float64(von_neumann_entropy(r)).tobytes()
+
+    @given(
+        st.sampled_from([2, 4]),
+        st.integers(1, 4),
+        st.data(),
+        st.sampled_from([1.0, np.nan, np.inf, -np.inf, NAN_INF_J, INF_J]),
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_entropy_rejects_a_bad_matrix_anywhere(self, d, k, data, bad):
+        rho = np.array([np.eye(d) / d] * k, dtype=complex)
+        at = data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, d - 1)))
+        rho[at[0], at[1], (at[1] + 1) % d] = bad  # 1.0 is finite but not Hermitian
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((2, 2, 4), r"got shape \(2, 2, 4\)"),
+            ((), r"got shape \(\)"),
+            ((0, 4), r"got shape \(0, 4\)"),
+            ((3, 6), "length 6 is not a power of two"),
+            ((3, 0), "length 0 is not a power of two"),
+        ],
+    )
+    def test_partial_trace_rejects_bad_stacks(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            partial_trace(np.zeros(shape, dtype=complex), {0})
