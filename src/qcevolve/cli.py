@@ -64,7 +64,7 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in value.split(",") if v.strip())
 
 
-# key -> (destination, parser); destinations: run config, fitness, experiment
+# key -> parser, one table per destination: the run config, the fitness, the experiment
 _RUN_KEYS = {
     "population_size": int,
     "generations": int,
@@ -345,10 +345,10 @@ def emit_convergence_svg(
 # experiment orchestration
 
 
-def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
+def _build_targets(spec: ExperimentSpec) -> list[np.ndarray | None]:
     cfg = spec.run_config
     if not _reads_target(spec.fitness_name):
-        return [("target0", None)]
+        return [None]
     if spec.target_file is not None:
         state = read_statevector(spec.target_file)
         if len(state) != 2**cfg.n_qubits:
@@ -356,15 +356,11 @@ def _build_targets(spec: ExperimentSpec) -> list[tuple[str, np.ndarray | None]]:
                 f"target_file {spec.target_file} has {len(state)} amplitudes, "
                 f"n_qubits = {cfg.n_qubits} needs {2 ** cfg.n_qubits}"
             )
-        return [("target0", state)]
-    targets = []
-    for i, target_seed in enumerate(spec.target_seeds):
-        rng = np.random.default_rng(target_seed)
-        target_circuit = random_circuit(
-            cfg.n_qubits, cfg.depth, spec.target_gate_set, rng
-        )
-        targets.append((f"target{i}", simulate(target_circuit)))
-    return targets
+        return [state]
+    return [
+        simulate(random_circuit(cfg.n_qubits, cfg.depth, spec.target_gate_set, rng))
+        for rng in map(np.random.default_rng, spec.target_seeds)
+    ]
 
 
 def _make_fitness(
@@ -424,19 +420,19 @@ def _child(read_fd: int, write_fd: int, fn, args) -> None:
             os._exit(code)
 
 
-@contextmanager
-def _alongside(fn, *args):
-    """Run `fn(*args)` while the with-block runs. The block gets a callable
-    that returns fn's result, or raises what fn raised.
+def _search_pair(cfg: RunConfig, fitness_fn: FitnessFunction, ga_rng, baseline_rng):
+    """Run the GA and the random baseline on one budget; return the GA's
+    (best, trace) and the baseline's per-generation best, as a triple.
 
-    With os.fork and at least two usable CPUs, fn starts in a forked child
-    on entry. The callable waits for the child's pickled reply and reaps
-    it; a child that ends without one is a QcevolveError naming its exit
-    status or signal. A block that ends without calling it kills the child
-    with SIGKILL and reaps it. If this process itself is killed, the child
-    runs on until fn returns: its write to the pipe then fails and it
-    exits. Otherwise, or when no process can be forked, fn runs in this
-    process when the callable is called.
+    With os.fork and at least two usable CPUs, the baseline runs in a
+    forked child while the GA runs here; the child's pickled reply is then
+    read and the child reaped. A child that ends without one is a
+    QcevolveError naming its exit status or signal. If the GA raises, or
+    an interrupt comes while this process waits, the child is killed with
+    SIGKILL and reaped. If this process itself is killed, the child runs on
+    until the baseline returns: its write to the pipe then fails and it
+    exits. Otherwise, or when no process can be forked, the baseline runs
+    here after the GA.
     """
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
@@ -450,40 +446,31 @@ def _alongside(fn, *args):
             os.close(read_fd)
             os.close(write_fd)
     if pid is None:
-        yield lambda: fn(*args)
-        return
+        best, trace = evolve(cfg, fitness_fn, ga_rng)
+        return best, trace, random_baseline(cfg, fitness_fn, baseline_rng)
     if pid == 0:
-        _child(read_fd, write_fd, fn, args)
+        _child(read_fd, write_fd, random_baseline, (cfg, fitness_fn, baseline_rng))
     os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    status = None
-
-    def result():
-        nonlocal status
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0 or not data:
-            how = (
-                f"killed by signal {signal.Signals(-code).name}"
-                if code < 0
-                else f"exit status {code}"
-            )
-            raise QcevolveError(
-                f"the random baseline's process ended without a result ({how})"
-            )
-        ok, value, tb = pickle.loads(data)
-        if ok:
-            return value
-        raise value from RuntimeError(f"in the random baseline's process:\n{tb}")
-
     try:
-        yield result
-    finally:
-        pipe.close()
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        with os.fdopen(read_fd, "rb") as pipe:
+            best, trace = evolve(cfg, fitness_fn, ga_rng)
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if code != 0 or not data:
+        how = f"exit status {code}"
+        if code < 0:
+            how = f"killed by signal {signal.Signals(-code).name}"
+        raise QcevolveError(
+            f"the random baseline's process ended without a result ({how})"
+        )
+    ok, value, tb = pickle.loads(data)
+    if not ok:
+        raise value from RuntimeError(f"in the random baseline's process:\n{tb}")
+    return best, trace, value
 
 
 @contextmanager
@@ -510,22 +497,19 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     targets = _build_targets(spec)
     all_traces: list[list[GenerationRecord]] = []
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
-    run_index = 0
-    for t_idx, (target_name, target) in enumerate(targets):
+    for t_idx, target in enumerate(targets):
         fitness_fn = _make_fitness(spec, cfg, target)
         for rep in range(spec.n_repeats):
             label = f"t{t_idx}r{rep}"
             streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])
-            with _alongside(
-                random_baseline, cfg, fitness_fn, streams[f"{label}/baseline"]
-            ) as baseline_result:
-                best, trace = evolve(cfg, fitness_fn, streams[f"{label}/ga"])
-                baseline = baseline_result()
+            best, trace, baseline = _search_pair(
+                cfg, fitness_fn, streams[f"{label}/ga"], streams[f"{label}/baseline"]
+            )
             trace = [
                 replace(rec, baseline_best_fitness=baseline[i])
                 for i, rec in enumerate(trace)
             ]
-            run_dir = out_dir / f"{target_name}_rep{rep}"
+            run_dir = out_dir / f"target{t_idx}_rep{rep}"
             with _writing_in(run_dir):
                 run_dir.mkdir(parents=True, exist_ok=True)
                 emit_trace_csv(trace, run_dir / "trace.csv")
@@ -536,16 +520,15 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
             best_fit = max(rec.best_fitness for rec in trace)
             base_best = max(rec.baseline_best_fitness for rec in trace)
             summary_rows.append(
-                f"{run_index},{t_idx},{rep},{best_fit:.17g},"
+                f"{len(all_traces)},{t_idx},{rep},{best_fit:.17g},"
                 f"{trace[-1].mean_fitness:.17g},{base_best:.17g}"
             )
             all_traces.append(trace)
             if not quiet:
                 print(
-                    f"{target_name} repeat {rep}: best={best_fit:.6f} "
+                    f"target{t_idx} repeat {rep}: best={best_fit:.6f} "
                     f"baseline={base_best:.6f}"
                 )
-            run_index += 1
     with _writing_in(out_dir):
         (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
         emit_convergence_svg(all_traces, out_dir / "convergence.svg")

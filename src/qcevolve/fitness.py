@@ -66,6 +66,8 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.features) == 0:
             raise ConfigurationError("dataset must be a nonempty 2D feature array")
+        if not np.isfinite(self.features).all():
+            raise ConfigurationError("dataset features must be finite")
         if len(self.labels) != len(self.features):
             raise ConfigurationError("dataset features and labels disagree in length")
         if not set(np.unique(self.labels)) <= {0, 1}:

@@ -22,7 +22,7 @@ from .circuit import (
     shared_cell,
     theta_cells,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, QcevolveError
 from .gates import GateKind
 
 
@@ -86,9 +86,15 @@ def select_roulette(
     # shift only negative fitness into range; a tiny floor keeps the
     # distribution valid when every weight lands on zero
     shift = -lo if lo < 0 else 0.0
-    weights = fits + shift + 1e-9 * (hi - lo + 1.0)
-    probs = weights / weights.sum()
-    idx = rng.choice(len(members), size=count, p=probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = fits + shift + 1e-9 * (hi - lo + 1.0)
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise QcevolveError(
+            f"roulette selection cannot weigh fitness from {lo:g} to {hi:g}: "
+            "the sum of the shifted weights overflows"
+        )
+    idx = rng.choice(len(members), size=count, p=weights / total)
     return [members[i] for i in idx]
 
 

@@ -895,6 +895,27 @@ class TestBaselineAlongside:
         assert time.monotonic() - t0 < 30  # the slow child was killed
 
     @pytest.mark.parametrize("path", ["forked", "in_process"])
+    def test_ga_interrupt_propagates_and_the_child_is_reaped(self, tmp_path, monkeypatch, path):
+        interrupt = KeyboardInterrupt("stop")
+        calls = []
+
+        def ga_interrupted(*args):
+            raise interrupt
+
+        def slow(*args):
+            calls.append(os.getpid())
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "evolve", ga_interrupted)
+        monkeypatch.setattr(cli, "random_baseline", slow)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt) as exc:
+            self.run(tmp_path, monkeypatch, path, SMOKE_CONFIG)
+        assert exc.value is interrupt
+        assert time.monotonic() - t0 < 30  # the slow child was killed
+        assert calls == []  # in the child, or never
+
+    @pytest.mark.parametrize("path", ["forked", "in_process"])
     def test_diverging_training_is_a_run_failure(self, tmp_path, monkeypatch, capsys, path):
         # at seed 2 the first circuit trained has a gradient of 1.97 > 1.8,
         # so its first step overflows; at most seeds every gradient is

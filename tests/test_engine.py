@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,23 @@ class TestScoreChecks:
         """The part of the error message that names what `score` returned."""
         what = bad.match if isinstance(bad, BadReturn) else ".*, not a finite real number"
         return f"returned {what}"
+
+    # the trace's np.mean of three or more 1e308 scores overflows as well
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scores", [(1e308,), (-1e308, 1e308)], ids=repr)
+    def test_roulette_weights_that_overflow(self, scores):
+        class Huge(FitnessFunction):
+            name = "huge"
+            calls = 0
+
+            def evaluate(self, circuit):
+                self.calls += 1
+                return scores[self.calls % len(scores)]
+
+        cfg = small_config(parent_selection="roulette")
+        message = re.escape(f"roulette selection cannot weigh fitness from {min(scores):g} ")
+        with pytest.raises(QcevolveError, match=message):
+            evolve(cfg, Huge(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("good", [np.float32(0.25), np.int64(1), 0, True], ids=repr)
     def test_real_numbers_accepted(self, good):

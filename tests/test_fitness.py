@@ -271,6 +271,11 @@ class TestDataset:
         with pytest.raises(ConfigurationError):
             Dataset(np.zeros((2, 1)), np.array([0, 2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad):
+        with pytest.raises(ConfigurationError, match="dataset features must be finite"):
+            Dataset(np.array([[0.1, bad], [0.9, 0.8]]), np.array([0, 1]))
+
 
 class TestRegistry:
     def test_builtins_registered(self):

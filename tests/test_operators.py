@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from oracles import embed_unitary
 from qcevolve.gates import gate_matrix
 
 from qcevolve.circuit import Circuit, Gate, Role, random_circuit, validate
-from qcevolve.errors import ConfigurationError
+from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.gates import FULL_GATE_SET, GateKind
 from qcevolve.operators import (
     Individual,
@@ -97,6 +98,17 @@ class TestSelectRoulette:
         picked = select_roulette(pop, 100000, rng)
         frac = sum(ind.fitness == 3.0 for ind in picked) / len(picked)
         assert abs(frac - 0.75) < 0.01
+
+    @pytest.mark.parametrize("fits", [[1e308] * 3, [-1e308, 1e308]])
+    def test_weights_that_overflow_name_the_range(self, rng, fits):
+        pop = make_pop(fits, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QcevolveError) as exc:
+                select_roulette(pop, 2, rng)
+        assert str(exc.value).startswith(
+            f"roulette selection cannot weigh fitness from {min(fits):g} to 1e+308: "
+        )
 
     def test_all_zero_uniform(self, rng):
         pop = make_pop([0.0, 0.0], rng)
