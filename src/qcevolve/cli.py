@@ -236,14 +236,17 @@ def read_statevector(path: str | Path) -> np.ndarray:
 # artifacts
 
 
-def emit_trace_csv(trace: list[GenerationRecord], path: Path) -> None:
+def emit_trace_csv(
+    trace: list[GenerationRecord], baseline: list[float], path: Path
+) -> None:
+    """One row per generation; `baseline` is what `random_baseline` returned."""
     if not trace:
         raise ValueError("trace is empty")
     rows = ["generation,best_fitness,mean_fitness,baseline_best_fitness"]
-    for rec in trace:
+    for rec, base in zip(trace, baseline, strict=True):
         rows.append(
             f"{rec.generation},{rec.best_fitness:.17g},"
-            f"{rec.mean_fitness:.17g},{rec.baseline_best_fitness:.17g}"
+            f"{rec.mean_fitness:.17g},{base:.17g}"
         )
     path.write_text("\n".join(rows) + "\n")
 
@@ -253,7 +256,7 @@ def _svg_path(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def emit_convergence_svg(
-    traces: list[list[GenerationRecord]], path: Path
+    traces: list[list[GenerationRecord]], baselines: list[list[float]], path: Path
 ) -> None:
     """Convergence plot: mean and 95% CI of best / average / baseline across runs."""
     if not traces:
@@ -263,9 +266,7 @@ def emit_convergence_svg(
     series = {
         "best": np.array([[r.best_fitness for r in t[:n_gen]] for t in traces]),
         "average": np.array([[r.mean_fitness for r in t[:n_gen]] for t in traces]),
-        "random baseline": np.array(
-            [[r.baseline_best_fitness for r in t[:n_gen]] for t in traces]
-        ),
+        "random baseline": np.array([b[:n_gen] for b in baselines]),
     }
     colors = {"best": "#1f77b4", "average": "#ff7f0e", "random baseline": "#2ca02c"}
     width, height = 640, 480
@@ -496,6 +497,7 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
         ) from None
     targets = _build_targets(spec)
     all_traces: list[list[GenerationRecord]] = []
+    all_baselines: list[list[float]] = []
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
     for t_idx, target in enumerate(targets):
         fitness_fn = _make_fitness(spec, cfg, target)
@@ -505,25 +507,22 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
             best, trace, baseline = _search_pair(
                 cfg, fitness_fn, streams[f"{label}/ga"], streams[f"{label}/baseline"]
             )
-            trace = [
-                replace(rec, baseline_best_fitness=baseline[i])
-                for i, rec in enumerate(trace)
-            ]
             run_dir = out_dir / f"target{t_idx}_rep{rep}"
             with _writing_in(run_dir):
                 run_dir.mkdir(parents=True, exist_ok=True)
-                emit_trace_csv(trace, run_dir / "trace.csv")
+                emit_trace_csv(trace, baseline, run_dir / "trace.csv")
                 (run_dir / "best_circuit.json").write_text(serialize(best.circuit) + "\n")
                 (run_dir / "best_circuit.qasm").write_text(export_qasm(best.circuit))
                 if target is not None:
                     write_statevector(target, run_dir / "target_state.txt")
             best_fit = max(rec.best_fitness for rec in trace)
-            base_best = max(rec.baseline_best_fitness for rec in trace)
+            base_best = max(baseline)
             summary_rows.append(
                 f"{len(all_traces)},{t_idx},{rep},{best_fit:.17g},"
                 f"{trace[-1].mean_fitness:.17g},{base_best:.17g}"
             )
             all_traces.append(trace)
+            all_baselines.append(baseline)
             if not quiet:
                 print(
                     f"target{t_idx} repeat {rep}: best={best_fit:.6f} "
@@ -531,7 +530,7 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
                 )
     with _writing_in(out_dir):
         (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
-        emit_convergence_svg(all_traces, out_dir / "convergence.svg")
+        emit_convergence_svg(all_traces, all_baselines, out_dir / "convergence.svg")
     return 0
 
 

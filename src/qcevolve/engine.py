@@ -119,7 +119,6 @@ class GenerationRecord:
     generation: int
     best_fitness: float
     mean_fitness: float
-    baseline_best_fitness: float = float("nan")
 
 
 def make_rng_streams(seed: int, labels: list[str]) -> dict[str, np.random.Generator]:
@@ -152,11 +151,7 @@ def _crossover(
     a: Circuit, b: Circuit, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[Circuit, Circuit]:
     if cfg.crossover_method == "multi_point":
-        m = max(a.depth, b.depth)
-        points = min(cfg.crossover_points, max(m - 1, 1))
-        if points < 2:
-            return crossover_single_point(a, b, rng)
-        return crossover_multi_point(a, b, points, rng)
+        return crossover_multi_point(a, b, cfg.crossover_points, rng)
     if cfg.crossover_method == "blockwise":
         return crossover_blockwise(a, b, rng)
     return crossover_single_point(a, b, rng)
@@ -250,10 +245,14 @@ def _survivors(
 
 def _record(generation: int, members: list[Individual]) -> GenerationRecord:
     fits = [ind.fitness for ind in members]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(fits)
+        if not np.isfinite(mean):  # the sum overflowed; the sum of fits / n cannot
+            mean = np.clip(np.sum(np.divide(fits, len(fits))), min(fits), max(fits))
     return GenerationRecord(
         generation=generation,
         best_fitness=float(fits[int(np.argmax(fits))]),
-        mean_fitness=float(np.mean(fits)),
+        mean_fitness=float(mean),
     )
 
 

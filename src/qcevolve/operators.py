@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .gates import GateKind
 @dataclass(frozen=True)
 class Individual:
     circuit: Circuit
-    fitness: float | None = None
+    fitness: float
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,6 @@ def select_roulette(
         raise ValueError("population is empty")
     if count < 1:
         raise ValueError(f"count {count} must be >= 1")
-    if any(m.fitness is None for m in members):
-        raise ValueError("roulette selection requires evaluated fitness")
     fits = np.array([m.fitness for m in members], dtype=float)
     lo, hi = fits.min(), fits.max()
     # shift only negative fitness into range; a tiny floor keeps the
@@ -137,12 +135,15 @@ def crossover_single_point(
 def crossover_multi_point(
     a: Circuit, b: Circuit, n_points: int, rng: np.random.Generator
 ) -> tuple[Circuit, Circuit]:
-    """Alternate column segments between parents at several cut points."""
+    """Alternate column segments between parents at up to `n_points` cut
+    points, as many as the padded depth allows; single-point crossover
+    when fewer than two fit."""
+    if n_points < 1:
+        raise ValueError(f"n_points {n_points} must be >= 1")
+    n_points = min(n_points, max(a.depth, b.depth) - 1)
+    if n_points < 2:
+        return crossover_single_point(a, b, rng)
     a, b = _pad_pair(a, b)
-    if not 2 <= n_points <= a.depth - 1:
-        raise ConfigurationError(
-            f"n_points {n_points} infeasible for depth {a.depth}"
-        )
     cuts = sorted(
         int(c) + 1 for c in rng.choice(a.depth - 1, size=n_points, replace=False)
     )
@@ -179,9 +180,9 @@ class MutationContext:
     """Parameters the individual mutation methods draw on."""
 
     gate_set: frozenset[GateKind]
-    min_qubits: int = 1
-    max_qubits: int = 20
-    max_depth: int = 100
+    min_qubits: int
+    max_qubits: int
+    max_depth: int
 
 
 def mutate_single_gate_flip(
@@ -323,16 +324,19 @@ MUTATION_NAMES = tuple(f.__name__.removeprefix("mutate_") for f in MUTATION_METH
 
 def check_mutation_weights(weights: Sequence[float]) -> None:
     """Raise ConfigurationError unless `weights` holds one finite,
-    nonnegative weight per entry of MUTATION_NAMES, not all zero."""
+    nonnegative weight per entry of MUTATION_NAMES, not all zero, with a
+    finite sum."""
     if len(weights) != len(MUTATION_METHODS):
         raise ConfigurationError(
             f"mutation_weights needs {len(MUTATION_METHODS)} values, one each "
             f"for {', '.join(MUTATION_NAMES)}; got {len(weights)}"
         )
-    if not all(isfinite(w) and w >= 0 for w in weights) or not any(weights):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.asarray(weights, dtype=float).sum()  # as mutate sums them
+    if not all(isfinite(w) and w >= 0 for w in weights) or not 0 < total < inf:
         raise ConfigurationError(
-            "mutation_weights must be finite and nonnegative, not all zero; "
-            f"got {', '.join(map(str, weights))}"
+            "mutation_weights must be finite and nonnegative, not all zero, "
+            f"with a finite sum; got {', '.join(map(str, weights))}"
         )
 
 

@@ -192,35 +192,37 @@ class TestStatevectorFiles:
 
 class TestTraceCsv:
     def records(self, n):
-        return [
-            GenerationRecord(i, 0.5 + 0.1 * i, 0.3 + 0.1 * i, 0.4) for i in range(n)
-        ]
+        return [GenerationRecord(i, 0.5 + 0.1 * i, 0.3 + 0.1 * i) for i in range(n)]
 
     def test_row_count(self, tmp_path):
         path = tmp_path / "trace.csv"
-        emit_trace_csv(self.records(3), path)
+        emit_trace_csv(self.records(3), [0.4] * 3, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == "generation,best_fitness,mean_fitness,baseline_best_fitness"
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_trace_csv([], tmp_path / "trace.csv")
+            emit_trace_csv([], [], tmp_path / "trace.csv")
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_trace_csv(self.records(5), p1)
-        emit_trace_csv(self.records(5), p2)
+        emit_trace_csv(self.records(5), [0.4] * 5, p1)
+        emit_trace_csv(self.records(5), [0.4] * 5, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestConvergenceSvg:
     def trace(self, values):
-        return [GenerationRecord(i, v, v - 0.1, v - 0.2) for i, v in enumerate(values)]
+        return [GenerationRecord(i, v, v - 0.1) for i, v in enumerate(values)]
+
+    def baseline(self, values):
+        return [v - 0.2 for v in values]
 
     def test_single_run_no_bands(self, tmp_path):
         path = tmp_path / "plot.svg"
-        emit_convergence_svg([self.trace([0.2, 0.4, 0.6])], path)
+        values = [0.2, 0.4, 0.6]
+        emit_convergence_svg([self.trace(values)], [self.baseline(values)], path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "<polygon" not in text
@@ -228,13 +230,15 @@ class TestConvergenceSvg:
 
     def test_multiple_runs_have_bands(self, tmp_path):
         path = tmp_path / "plot.svg"
-        traces = [self.trace([0.2, 0.5, 0.7]), self.trace([0.3, 0.4, 0.8])]
-        emit_convergence_svg(traces, path)
+        runs = [[0.2, 0.5, 0.7], [0.3, 0.4, 0.8]]
+        traces = [self.trace(v) for v in runs]
+        emit_convergence_svg(traces, [self.baseline(v) for v in runs], path)
         assert path.read_text().count("<polygon") == 3
 
     def test_constant_trace(self, tmp_path):
         path = tmp_path / "plot.svg"
-        emit_convergence_svg([self.trace([0.5, 0.5, 0.5])], path)
+        values = [0.5, 0.5, 0.5]
+        emit_convergence_svg([self.trace(values)], [self.baseline(values)], path)
         assert "<polyline" in path.read_text()
 
 
@@ -351,6 +355,22 @@ class TestMainEntry:
         assert err.startswith("error: ")
         assert "mutation_weights must be finite and nonnegative" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mutation_weights_whose_sum_overflows_are_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "fitness = entanglement\nn_qubits = 2\ndepth = 2\n"
+            "population_size = 4\ngenerations = 2\nmutation_prob = 1.0\n"
+            "mutation_weights = 1e308,1e308,1e308,1e308,1e308,1e308\n",
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "mutation_weights must be finite and nonnegative, not all zero, with a finite sum" in err
         assert not out.exists()
 
     def test_ml_needs_a_qubit_per_feature(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=f"mutation_weights .*{match}"):
             search(cfg, fn, np.random.default_rng(0))
         assert fn.calls == 0
+
+    def test_mutation_weights_whose_sum_overflows_rejected(self):
+        cfg = RunConfig(mutation_weights=(1e308,) * len(MUTATION_METHODS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="mutation_weights .*finite sum"):
+                cfg.resolved()
 
 
 class TestRngStreams:
@@ -403,8 +411,6 @@ class TestScoreChecks:
         what = bad.match if isinstance(bad, BadReturn) else ".*, not a finite real number"
         return f"returned {what}"
 
-    # the trace's np.mean of three or more 1e308 scores overflows as well
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scores", [(1e308,), (-1e308, 1e308)], ids=repr)
     def test_roulette_weights_that_overflow(self, scores):
         class Huge(FitnessFunction):
@@ -419,6 +425,26 @@ class TestScoreChecks:
         message = re.escape(f"roulette selection cannot weigh fitness from {min(scores):g} ")
         with pytest.raises(QcevolveError, match=message):
             evolve(cfg, Huge(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scores", [(1e308,), (1e308, 1e308, -1e308, 2.0)], ids=repr)
+    def test_mean_of_scores_whose_sum_overflows(self, scores):
+        # np.mean of these overflows to inf, or to nan from inf - inf
+        class Huge(FitnessFunction):
+            name = "huge"
+            calls = 0
+
+            def evaluate(self, circuit):
+                self.calls += 1
+                return scores[self.calls % len(scores)]
+
+        cfg = small_config(population_size=6, generations=2, elitism=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = evolve(cfg, Huge(), np.random.default_rng(0))
+        means = [r.mean_fitness for r in trace]
+        assert all(min(scores) <= m <= max(scores) for m in means)
+        if len(scores) == 1:
+            assert means == [1e308] * 3
 
     @pytest.mark.parametrize("good", [np.float32(0.25), np.int64(1), 0, True], ids=repr)
     def test_real_numbers_accepted(self, good):

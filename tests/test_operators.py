@@ -177,10 +177,21 @@ class TestCrossoverMultiPoint:
         kinds = [c1.grid[0][j].kind for j in range(3)]
         assert kinds == [GateKind.X, GateKind.H, GateKind.X]
 
-    def test_infeasible_points(self, rng):
-        a = random_circuit(2, 3, FULL_GATE_SET, rng)
-        with pytest.raises(ConfigurationError):
-            crossover_multi_point(a, a, 3, rng)
+    def test_single_point_when_fewer_than_two_cuts_fit(self, rng):
+        # (depth of a, depth of b, n_points): the padded depth leaves room
+        # for one cut or none, or only one is asked for
+        for m1, m2, n_points in [(1, 1, 2), (2, 1, 9), (1, 2, 3), (5, 4, 1), (3, 3, 1)]:
+            a = random_circuit(2, m1, FULL_GATE_SET, rng)
+            b = random_circuit(3, m2, FULL_GATE_SET, rng)
+            multi, single = np.random.default_rng(11), np.random.default_rng(11)
+            children = crossover_multi_point(a, b, n_points, multi)
+            assert children == crossover_single_point(a, b, single)
+            assert multi.bit_generator.state == single.bit_generator.state
+
+    def test_zero_points_rejected(self, rng):
+        a = random_circuit(2, 5, FULL_GATE_SET, rng)
+        with pytest.raises(ValueError, match="n_points 0"):
+            crossover_multi_point(a, a, 0, rng)
 
     def test_conserves_non_id_cells(self, rng):
         for _ in range(100):
@@ -299,6 +310,16 @@ class TestMutations:
                 mutate(c, rng, CTX, [bad, 1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConfigurationError, match="needs 6 values"):
             mutate(c, rng, CTX, [1.0] * 5)
+
+    def test_weights_whose_sum_overflows(self, rng):
+        # each weight is finite, their sum is not: rng.choice would raise
+        # ValueError after an overflow warning
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="with a finite sum"):
+                mutate(all_x_circuit(2, 2), rng, CTX, [1e308] * len(MUTATION_METHODS))
+        assert rng.bit_generator.state == state
 
 
 class TestDeterminism:

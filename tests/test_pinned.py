@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from qcevolve.circuit import IDENTITY, Circuit, random_circuit, serialize
+from qcevolve.engine import RunConfig, evolve
+from qcevolve.fitness import FitnessFunction
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
@@ -341,6 +343,47 @@ CROSSOVER_DIGESTS = {
 def test_crossover_outputs(method, gate_set):
     digest = _operator_digest(CROSSOVERS[method], GATE_SETS[gate_set])
     assert digest == CROSSOVER_DIGESTS[method, gate_set]
+
+
+class GateCount(FitnessFunction):
+    """Scores a circuit by its count of non-identity cells: no simulation,
+    so no OpenBLAS kernel touches the score."""
+
+    name = "gate_count"
+
+    def evaluate(self, circuit):
+        return sum(g.kind is not GateKind.ID for row in circuit.grid for g in row)
+
+
+# sha256 over each run's trace and best circuit, for `evolve` with
+# multi-point crossover at depths 1-4 and crossover_points 1, 2, 3 and 9,
+# in order; mutation moves the width in [1, 4] and the depth in [1, 8], so
+# the padded pairs leave room for fewer cuts than asked, for one or none
+MULTI_POINT_EVOLVE_DIGEST = "76fa2f8769b175b023bce2dc317f3a96f3aa509c472f2241d76293eae98a6d4a"
+
+
+def test_multi_point_crossover_in_evolve():
+    h = hashlib.sha256()
+    for depth in range(1, 5):
+        for points in (1, 2, 3, 9):
+            cfg = RunConfig(
+                population_size=6,
+                generations=4,
+                n_qubits=2,
+                depth=depth,
+                min_qubits=1,
+                max_qubits=4,
+                max_depth=8,
+                crossover_prob=1.0,
+                mutation_prob=0.5,
+                crossover_method="multi_point",
+                crossover_points=points,
+            )
+            best, trace = evolve(cfg, GateCount(), np.random.default_rng(depth * 10 + points))
+            h.update(serialize(best.circuit).encode())
+            for rec in trace:
+                h.update(f"{rec.generation},{rec.best_fitness!r},{rec.mean_fitness!r};".encode())
+    assert h.hexdigest() == MULTI_POINT_EVOLVE_DIGEST
 
 
 MUTATION_DIGESTS = {
