@@ -198,6 +198,12 @@ def _with_thetas(
     return _with_cells(circuit, new)
 
 
+def _columns(circuit: Circuit, start: int, stop: int) -> Circuit:
+    """Columns [start, stop) of `circuit`: valid if it is, since both halves
+    of a pair sit in one column."""
+    return Circuit(circuit.n_qubits, tuple(row[start:stop] for row in circuit.grid))
+
+
 def _encode_features(n_qubits: int, features: np.ndarray) -> np.ndarray:
     """Angle encoding: RX(pi * x_j) on qubit j from the zero state."""
     state = zero_state(n_qubits)
@@ -206,9 +212,9 @@ def _encode_features(n_qubits: int, features: np.ndarray) -> np.ndarray:
     return state
 
 
-def _predictions(circuit: Circuit, encoded: np.ndarray) -> np.ndarray:
-    """<Z_0> of the final state per encoded sample; label 0 iff it is >= 0."""
-    probs = np.abs(simulator.run_gates(encoded, circuit)) ** 2
+def _predictions(final: np.ndarray) -> np.ndarray:
+    """<Z_0> of each final state of a stack; label 0 iff it is >= 0."""
+    probs = np.abs(final) ** 2
     signs = 1.0 - 2.0 * (np.arange(probs.shape[1]) & 1)
     # one dot per row: a single matrix product may sum in another order
     return np.array([np.dot(row, signs) for row in probs])
@@ -244,6 +250,7 @@ class MLFitness(FitnessFunction):
         self.train_steps = train_steps
         self.learning_rate = learning_rate
         self.lamarckian = lamarckian
+        self._encodings: dict[int, np.ndarray] = {}
 
     def evaluate(self, circuit: Circuit) -> float:
         return self.evaluate_trained(circuit)[0]
@@ -263,11 +270,27 @@ class MLFitness(FitnessFunction):
                 f"feature count), got {min_qubits}"
             )
 
+    def _encoding(self, n: int) -> np.ndarray:
+        """The (n_samples, 2**n) stack of encoded samples, computed once per
+        width and read-only: it does not depend on the angles."""
+        encoded = self._encodings.get(n)
+        if encoded is None:
+            encoded = np.array([_encode_features(n, x) for x in self.dataset.features])
+            encoded.flags.writeable = False
+            self._encodings[n] = encoded
+        return encoded
+
     def evaluate_trained(self, circuit: Circuit) -> tuple[float, Circuit]:
         """Train the rotation angles; return (accuracy, trained circuit).
 
         Central finite differences and plain gradient descent on the
         mean-squared error of the <Z_0> predictor against +-1 labels.
+        Each step makes one pass over the columns. The up and down trials
+        of every angle in column c start from the state before column c,
+        run their own copy of column c, and then run the later columns as
+        one stack, so a step holds one extra stack of at most
+        2 * n_qubits * n_samples states (the kernels copy it once per gate).
+        Every trial's loss has the bits of a whole run of its circuit.
         The input circuit is never modified. QcevolveError if a step leaves
         an angle that is not finite, or one so large that theta + FD_STEP
         and theta - FD_STEP are the same float.
@@ -275,25 +298,41 @@ class MLFitness(FitnessFunction):
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
         labels = self.dataset.labels
-        # (n_samples, 2**n) stack; the encoding does not depend on the angles
-        encoded = np.array([_encode_features(n, x) for x in self.dataset.features])
+        encoded = self._encoding(n)
         cells = theta_cells(circuit)
         if not cells or self.train_steps == 0:
-            return _accuracy(_predictions(circuit, encoded), labels), circuit
+            final = simulator.run_gates(encoded, circuit)
+            return _accuracy(_predictions(final), labels), circuit
         thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
-
-        def loss(vec: np.ndarray) -> float:
-            trial = _with_thetas(circuit, cells, vec)
-            return _mse_loss(_predictions(trial, encoded), labels)
+        # column -> [(index into thetas, row)]; a column has one angle per row at most
+        by_column: dict[int, list[tuple[int, int]]] = {}
+        for i, (r, c) in enumerate(cells):
+            by_column.setdefault(c, []).append((i, r))
 
         for step in range(1, self.train_steps + 1):
+            current = _with_thetas(circuit, cells, thetas)
+            values = thetas.tolist()
             grad = np.empty_like(thetas)
-            for i in range(len(thetas)):
-                up = thetas.copy()
-                up[i] += FD_STEP
-                down = thetas.copy()
-                down[i] -= FD_STEP
-                grad[i] = (loss(up) - loss(down)) / (2 * FD_STEP)
+            state, done = encoded, 0
+            for c, trials in sorted(by_column.items()):
+                if c > done:
+                    state = simulator.run_gates(state, _columns(current, done, c))
+                done = c
+                column = _columns(current, c, c + 1)
+                # row block 2j: the up trial of the column's j-th angle; 2j + 1: its down
+                stack = np.empty((2 * len(trials),) + encoded.shape, dtype=complex)
+                for j, (i, r) in enumerate(trials):
+                    g = column.grid[r][0]
+                    for k, t in enumerate((values[i] + FD_STEP, values[i] - FD_STEP)):
+                        trial = {(r, 0): Gate(g.kind, g.role, t, g.partner)}
+                        stack[2 * j + k] = simulator.run_gates(state, _with_cells(column, trial))
+                final = stack.reshape(-1, encoded.shape[1])
+                if c + 1 < current.depth:
+                    final = simulator.run_gates(final, _columns(current, c + 1, current.depth))
+                z0 = _predictions(final).reshape(len(stack), -1)
+                losses = [_mse_loss(p, labels) for p in z0]
+                for j, (i, _) in enumerate(trials):
+                    grad[i] = (losses[2 * j] - losses[2 * j + 1]) / (2 * FD_STEP)
             with np.errstate(over="ignore", invalid="ignore"):
                 thetas = thetas - self.learning_rate * grad
             if not np.isfinite(thetas).all():
@@ -310,7 +349,8 @@ class MLFitness(FitnessFunction):
                     f"{FD_STEP} (learning_rate = {self.learning_rate})"
                 )
         trained = _with_thetas(circuit, cells, thetas)
-        return _accuracy(_predictions(trained, encoded), labels), trained
+        final = simulator.run_gates(encoded, trained)
+        return _accuracy(_predictions(final), labels), trained
 
 
 # ---------------------------------------------------------------------------

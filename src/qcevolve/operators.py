@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from math import inf, isfinite, pi
 
 import numpy as np
@@ -340,6 +341,17 @@ def check_mutation_weights(weights: Sequence[float]) -> None:
         )
 
 
+@cache
+def _mutation_probabilities(weights: tuple[float, ...]) -> np.ndarray:
+    """The checked weights, normalized and read-only; checked and computed
+    once per tuple, since `evolve` passes the same weights on every call."""
+    check_mutation_weights(weights)
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()
+    p.flags.writeable = False
+    return p
+
+
 def mutate(
     circuit: Circuit,
     rng: np.random.Generator,
@@ -348,8 +360,7 @@ def mutate(
 ) -> Circuit:
     """Apply exactly one mutation method, chosen with probability ~ weights."""
     if weights is None:
-        weights = [1.0] * len(MUTATION_METHODS)
-    check_mutation_weights(weights)
-    w = np.asarray(weights, dtype=float)
-    method = MUTATION_METHODS[rng.choice(len(MUTATION_METHODS), p=w / w.sum())]
+        weights = (1.0,) * len(MUTATION_METHODS)
+    p = _mutation_probabilities(tuple(weights))
+    method = MUTATION_METHODS[rng.choice(len(MUTATION_METHODS), p=p)]
     return method(circuit, rng, ctx)

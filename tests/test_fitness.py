@@ -247,7 +247,19 @@ class TestMLFitness:
                     np.dot(np.abs(run_gates(_encode_features(n, x), c)) ** 2, signs)
                     for x in ds.features
                 ]
-                assert np.array_equal(_predictions(c, encoded), np.array(expected))
+                assert np.array_equal(_predictions(run_gates(encoded, c)), np.array(expected))
+
+    def test_one_fitness_over_several_widths_equals_fresh_ones(self, rng):
+        ds = separable_dataset()
+        shared = MLFitness(ds, train_steps=2)
+        for n in (2, 3, 2, 3):
+            c = random_circuit(n, 3, FULL_GATE_SET, rng)
+            assert shared.evaluate_trained(c) == MLFitness(ds, train_steps=2).evaluate_trained(c)
+        for n in (2, 3):
+            encoded = shared._encoding(n)
+            assert encoded is shared._encoding(n)
+            assert encoded.shape == (len(ds.labels), 2**n)
+            assert not encoded.flags.writeable
 
     def test_score_keeps_the_trained_circuit_only_when_lamarckian(self):
         ds = separable_dataset()

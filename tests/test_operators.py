@@ -27,6 +27,7 @@ from qcevolve.operators import (
     select_roulette,
     select_tournament,
     MUTATION_METHODS,
+    _mutation_probabilities,
 )
 from qcevolve.simulator import simulate
 
@@ -310,6 +311,19 @@ class TestMutations:
                 mutate(c, rng, CTX, [bad, 1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConfigurationError, match="needs 6 values"):
             mutate(c, rng, CTX, [1.0] * 5)
+
+    def test_weights_checked_on_every_call_and_normalized_once(self, rng):
+        c = all_x_circuit(2, 2)
+        bad = [1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ConfigurationError, match="nonnegative"):
+                mutate(c, rng, CTX, bad)
+        weights = (2.0, 1.0, 0.0, 0.5, 1.0, 3.0)
+        p = _mutation_probabilities(weights)
+        assert p is _mutation_probabilities(tuple(list(weights)))
+        w = np.asarray(weights)
+        assert p.tobytes() == (w / w.sum()).tobytes()
+        assert not p.flags.writeable
 
     def test_weights_whose_sum_overflows(self, rng):
         # each weight is finite, their sum is not: rng.choice would raise

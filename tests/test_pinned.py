@@ -20,7 +20,7 @@ import pytest
 
 from qcevolve.circuit import IDENTITY, Circuit, random_circuit, serialize
 from qcevolve.engine import RunConfig, evolve
-from qcevolve.fitness import FitnessFunction
+from qcevolve.fitness import Dataset, FitnessFunction, MLFitness
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
@@ -222,6 +222,88 @@ WIDE_DIGESTS["Nehalem"] = WIDE_DIGESTS["Sandybridge"]
 def test_wide_simulation_bits(gate_set, width):
     digest = _simulation_digest(gate_set, width, WIDE_DEPTHS)
     assert digest == recorded_for_this_core(WIDE_DIGESTS)[gate_set, width]
+
+
+# sha256 over repr(accuracy) and serialize(trained circuit) of
+# MLFitness.evaluate_trained, three steps of training, for seeds 0-2 and
+# depths 1-5 drawn in order from one generator per seed, each with its own
+# dataset of 8 samples and `width` features; one table per OpenBLAS core,
+# since training runs every one-qubit gate through np.matmul and every
+# prediction through np.dot. Unlike the amplitude digests above, Nehalem's
+# differ from Sandybridge's.
+ML_TRAINING_DIGESTS = {
+    "SkylakeX": {
+        ("full", 1): "59b89418c42a0ae6071e0d00192d7b113dda46eed146e0e50230a139a10133dc",
+        ("full", 2): "728ea9b2c224d43622b0b537d8bccc46728e34e60d4f95a3e3c541540a11d0c6",
+        ("full", 3): "ae9abd8bbc238b3fc62ecddf59c09d7c1aca75760c633439c0ecd9522e41f361",
+        ("full", 4): "b54d9eaacc7aeb626fce6fece9873e125dd2f41008aecb5ef5f4d36f7acfbc54",
+        ("pair_heavy", 1): "2e23f426a08458d26f31a3b8b5dfe4dd26697b90ae0689c4ee4136a29380420b",
+        ("pair_heavy", 2): "140fa3c3a3e20b71b8a4d02cad2ff5473a26c971783758b074787c41ad15c730",
+        ("pair_heavy", 3): "8afb70e58986fbf91c83a0f0da57dea710b2bf94f9aa5e9c8ba97855ccc5f454",
+        ("pair_heavy", 4): "a85089f0d79ca68e7decd377c725a3cf7df0b23b3cf6671234f58231b4d2dcb5",
+    },
+    "Haswell": {
+        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
+        ("full", 2): "4103ed77028cf7d431307500a27c98f573fc81b070b9ff580d2112e95d2d1a52",
+        ("full", 3): "ab2f3220a7dc95d50f529b1ec4a51ad51caec2e8725dfb2571be870157bb54f7",
+        ("full", 4): "041486d4879ee901de8c87aa9dafa1039d0ecd749392b39f5d0b80665d603f0b",
+        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
+        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
+        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
+        ("pair_heavy", 4): "322eb558054492f660ea9eae6465759c25b26af2fdf981d5a47f9b72deadcb70",
+    },
+    "Sandybridge": {
+        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
+        ("full", 2): "4e82487d4c48899ad725b0e5469fdbc3b5d9418fe0cadb77d7be9666183ec0a5",
+        ("full", 3): "e00fb0eb621d7f6fb7497217bf361b490fc264a6f15d3d9d7b9b818563b1bff1",
+        ("full", 4): "9a80c0626f06e6cc9a83a7139b8b5646158019b933afe9e9f5b68b1838b536a5",
+        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
+        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
+        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
+        ("pair_heavy", 4): "322eb558054492f660ea9eae6465759c25b26af2fdf981d5a47f9b72deadcb70",
+    },
+    "Nehalem": {
+        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
+        ("full", 2): "4e82487d4c48899ad725b0e5469fdbc3b5d9418fe0cadb77d7be9666183ec0a5",
+        ("full", 3): "e00fb0eb621d7f6fb7497217bf361b490fc264a6f15d3d9d7b9b818563b1bff1",
+        ("full", 4): "cb76d18d3c689ca17f23385de7bd46b28c9f94fe44e87338e21742b84b1cbedd",
+        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
+        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
+        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
+        ("pair_heavy", 4): "12ee7bf05f2ea4adcb63dfe486a4633335b6cb80522df91d2f5a2704e6aefc9a",
+    },
+    "Katmai": {
+        ("full", 1): "740a5876099bcc11631634528fac6bbaa877024aae56906c31c34e05bfc1c1d0",
+        ("full", 2): "2c3058451ad54fb98dc13369046fabcc467624ef13faa7617833dd496cc476b7",
+        ("full", 3): "484349c322addc82d7f287e937286768427d04df98f5d25ae13fee2c20700048",
+        ("full", 4): "be3248afbf6cd788cc01b728a206956d85f96899a5d804572a8b975ba0432182",
+        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
+        ("pair_heavy", 2): "a40e8b4fc3ca2a517bd24f6fe5f259b0fa6f220824115dc91a54e99a57a06ec0",
+        ("pair_heavy", 3): "b3307a7c0c60a3c51905f82c5919273edc9d47b6f4760164e8e8b4bbaf9dd882",
+        ("pair_heavy", 4): "12ee7bf05f2ea4adcb63dfe486a4633335b6cb80522df91d2f5a2704e6aefc9a",
+    },
+}
+
+
+def _ml_training_digest(gate_set: str, width: int) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rng = np.random.default_rng(700 + seed)
+        for depth in range(1, 6):
+            features = rng.uniform(0.0, 1.0, size=(8, width))
+            labels = rng.integers(2, size=8)
+            c = random_circuit(width, depth, GATE_SETS[gate_set], rng)
+            fitness = MLFitness(Dataset(features, labels), train_steps=3, learning_rate=0.5)
+            accuracy, trained = fitness.evaluate_trained(c)
+            h.update(repr(accuracy).encode())
+            h.update(serialize(trained).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("gate_set,width", sorted(ML_TRAINING_DIGESTS["SkylakeX"]))
+def test_ml_training_bits(gate_set, width):
+    digest = _ml_training_digest(gate_set, width)
+    assert digest == recorded_for_this_core(ML_TRAINING_DIGESTS)[gate_set, width]
 
 
 def _draw_digest(gate_set: str, width: int, make_rng) -> str:

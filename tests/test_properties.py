@@ -30,6 +30,7 @@ from qcevolve.circuit import (
 )
 from qcevolve.errors import CircuitStructureError
 from qcevolve.engine import CROSSOVER_METHODS
+from qcevolve.fitness import FD_STEP, Dataset, MLFitness, _encode_features
 from qcevolve.gates import GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
@@ -240,6 +241,84 @@ def test_stacked_run_gates_equals_per_row_runs(circuit, batch, seed):
     for row, state in zip(stacked, states):
         # bit for bit: the ML fitness scores a whole dataset in one stack
         assert row.tobytes() == run_gates(state.copy(), circuit).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ML training against the per-trial loop
+
+
+def _reference_training(fitness: MLFitness, circuit: Circuit):
+    """(accuracy, trained circuit, angles) by the per-trial loop: every loss
+    is one whole run of the circuit, rebuilt with that trial's angles."""
+    n = circuit.n_qubits
+    encoded = np.array([_encode_features(n, x) for x in fitness.dataset.features])
+    labels = fitness.dataset.labels
+    signs = 1.0 - 2.0 * (np.arange(2**n) & 1)
+    cells = theta_cells(circuit)
+
+    def rebuilt(thetas: np.ndarray) -> Circuit:
+        grid = [list(row) for row in circuit.grid]
+        for (r, c), t in zip(cells, thetas.tolist()):
+            g = grid[r][c]
+            grid[r][c] = Gate(g.kind, g.role, t, g.partner)
+        return Circuit(n, tuple(map(tuple, grid)))
+
+    def predictions(c: Circuit) -> np.ndarray:
+        probs = np.abs(run_gates(encoded, c)) ** 2
+        return np.array([np.dot(row, signs) for row in probs])
+
+    def loss(thetas: np.ndarray) -> float:
+        return float(np.mean((predictions(rebuilt(thetas)) - (1.0 - 2.0 * labels)) ** 2))
+
+    thetas = np.array([circuit.grid[r][c].theta for r, c in cells])
+    trained = circuit
+    if cells and fitness.train_steps:
+        for _ in range(fitness.train_steps):
+            grad = np.empty_like(thetas)
+            for i in range(len(thetas)):
+                up, down = thetas.copy(), thetas.copy()
+                up[i] += FD_STEP
+                down[i] -= FD_STEP
+                grad[i] = (loss(up) - loss(down)) / (2 * FD_STEP)
+            thetas = thetas - fitness.learning_rate * grad
+        trained = rebuilt(thetas)
+    accuracy = float(np.mean((predictions(trained) < 0).astype(int) == labels))
+    return accuracy, trained, thetas
+
+
+# rotations mixed with pairs and identity cells
+ml_gate_sets = st.builds(
+    lambda rotations, others: frozenset(rotations) | frozenset(others),
+    st.sets(st.sampled_from([GateKind.RX, GateKind.RY, GateKind.RZ]), min_size=1),
+    st.sets(st.sampled_from([GateKind.ID, GateKind.CX, GateKind.CZ])),
+)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    ml_gate_sets,
+    seeds,
+    st.integers(0, 3),
+    st.sampled_from([0.05, 0.3, 2.0]),
+    st.booleans(),
+)
+def test_stacked_training_equals_per_trial_loop(
+    n, depth, gate_set, seed, steps, learning_rate, lamarckian
+):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(n, depth, gate_set, rng)
+    samples = int(rng.integers(1, 9))
+    features = rng.uniform(0.0, 1.0, size=(samples, int(rng.integers(1, n + 1))))
+    dataset = Dataset(features, rng.integers(2, size=samples))
+    fitness = MLFitness(dataset, steps, learning_rate, lamarckian)
+    accuracy, trained, thetas = _reference_training(fitness, circuit)
+    got = fitness.evaluate_trained(circuit)
+    assert got == (accuracy, trained)
+    angles = np.array([got[1].grid[r][c].theta for r, c in theta_cells(got[1])])
+    # bit for bit: the stacked trials run the same gates on each row
+    assert angles.tobytes() == thetas.tobytes()
+    assert fitness.score(circuit) == (accuracy, trained if lamarckian else circuit)
 
 
 # ---------------------------------------------------------------------------
