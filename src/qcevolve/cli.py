@@ -10,7 +10,7 @@ import pickle
 import signal
 import sys
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -423,32 +423,38 @@ def _child(read_fd: int, write_fd: int, fn, args) -> None:
 
 def _search_pair(cfg: RunConfig, fitness_fn: FitnessFunction, ga_rng, baseline_rng):
     """Run the GA and the random baseline on one budget; return the GA's
-    (best, trace) and the baseline's per-generation best, as a triple.
+    (best, trace), the baseline's per-generation best and the pid of a
+    child still to reap, or None, as a 4-tuple.
 
     With os.fork and at least two usable CPUs, the baseline runs in a
-    forked child while the GA runs here; the child's pickled reply is then
-    read and the child reaped. A child that ends without one is a
-    QcevolveError naming its exit status or signal. If the GA raises, or
-    an interrupt comes while this process waits, the child is killed with
+    forked child while the GA runs here, and the child's pickled reply is
+    read. A child that replied with the baseline's result is left for the
+    caller to reap with os.waitpid, so this process does not wait while
+    the child exits. Any other child is reaped here: one that ends without
+    a whole reply is a QcevolveError naming its exit status or signal, and
+    one that replies with an error raises it. If the GA raises, or an
+    interrupt comes while this process waits, the child is killed with
     SIGKILL and reaped. If this process itself is killed, the child runs on
     until the baseline returns: its write to the pipe then fails and it
-    exits. Otherwise, or when no process can be forked, the baseline runs
-    here after the GA.
+    exits. Otherwise, or when no pipe or process can be made, the baseline
+    runs here after the GA.
     """
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
         # flushed here, the parent's pending output cannot be written twice
         sys.stdout.flush()
         sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+        with suppress(OSError):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
     if pid is None:
         best, trace = evolve(cfg, fitness_fn, ga_rng)
-        return best, trace, random_baseline(cfg, fitness_fn, baseline_rng)
+        return best, trace, random_baseline(cfg, fitness_fn, baseline_rng), None
     if pid == 0:
         _child(read_fd, write_fd, random_baseline, (cfg, fitness_fn, baseline_rng))
     os.close(write_fd)
@@ -456,22 +462,25 @@ def _search_pair(cfg: RunConfig, fitness_fn: FitnessFunction, ga_rng, baseline_r
         with os.fdopen(read_fd, "rb") as pipe:
             best, trace = evolve(cfg, fitness_fn, ga_rng)
             data = pipe.read()
+        try:
+            ok, value, tb = pickle.loads(data)
+        except Exception:  # no reply, or a cut one
+            ok = None
+        if ok:
+            return best, trace, value, pid
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
-    if code != 0 or not data:
+    if ok is None:
         how = f"exit status {code}"
         if code < 0:
             how = f"killed by signal {signal.Signals(-code).name}"
         raise QcevolveError(
             f"the random baseline's process ended without a result ({how})"
         )
-    ok, value, tb = pickle.loads(data)
-    if not ok:
-        raise value from RuntimeError(f"in the random baseline's process:\n{tb}")
-    return best, trace, value
+    raise value from RuntimeError(f"in the random baseline's process:\n{tb}")
 
 
 @contextmanager
@@ -499,38 +508,48 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     all_traces: list[list[GenerationRecord]] = []
     all_baselines: list[list[float]] = []
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
-    for t_idx, target in enumerate(targets):
-        fitness_fn = _make_fitness(spec, cfg, target)
-        for rep in range(spec.n_repeats):
-            label = f"t{t_idx}r{rep}"
-            streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])
-            best, trace, baseline = _search_pair(
-                cfg, fitness_fn, streams[f"{label}/ga"], streams[f"{label}/baseline"]
-            )
-            run_dir = out_dir / f"target{t_idx}_rep{rep}"
-            with _writing_in(run_dir):
-                run_dir.mkdir(parents=True, exist_ok=True)
-                emit_trace_csv(trace, baseline, run_dir / "trace.csv")
-                (run_dir / "best_circuit.json").write_text(serialize(best.circuit) + "\n")
-                (run_dir / "best_circuit.qasm").write_text(export_qasm(best.circuit))
-                if target is not None:
-                    write_statevector(target, run_dir / "target_state.txt")
-            best_fit = max(rec.best_fitness for rec in trace)
-            base_best = max(baseline)
-            summary_rows.append(
-                f"{len(all_traces)},{t_idx},{rep},{best_fit:.17g},"
-                f"{trace[-1].mean_fitness:.17g},{base_best:.17g}"
-            )
-            all_traces.append(trace)
-            all_baselines.append(baseline)
-            if not quiet:
-                print(
-                    f"target{t_idx} repeat {rep}: best={best_fit:.6f} "
-                    f"baseline={base_best:.6f}"
+    # the last pair's forked baseline, which has replied but may still be
+    # exiting: reaped before the next fork, so at most one is unreaped
+    child = None
+    try:
+        for t_idx, target in enumerate(targets):
+            fitness_fn = _make_fitness(spec, cfg, target)
+            for rep in range(spec.n_repeats):
+                label = f"t{t_idx}r{rep}"
+                streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])
+                if child is not None:
+                    os.waitpid(child, 0)
+                    child = None
+                best, trace, baseline, child = _search_pair(
+                    cfg, fitness_fn, streams[f"{label}/ga"], streams[f"{label}/baseline"]
                 )
-    with _writing_in(out_dir):
-        (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
-        emit_convergence_svg(all_traces, all_baselines, out_dir / "convergence.svg")
+                run_dir = out_dir / f"target{t_idx}_rep{rep}"
+                with _writing_in(run_dir):
+                    run_dir.mkdir(parents=True, exist_ok=True)
+                    emit_trace_csv(trace, baseline, run_dir / "trace.csv")
+                    (run_dir / "best_circuit.json").write_text(serialize(best.circuit) + "\n")
+                    (run_dir / "best_circuit.qasm").write_text(export_qasm(best.circuit))
+                    if target is not None:
+                        write_statevector(target, run_dir / "target_state.txt")
+                best_fit = max(rec.best_fitness for rec in trace)
+                base_best = max(baseline)
+                summary_rows.append(
+                    f"{len(all_traces)},{t_idx},{rep},{best_fit:.17g},"
+                    f"{trace[-1].mean_fitness:.17g},{base_best:.17g}"
+                )
+                all_traces.append(trace)
+                all_baselines.append(baseline)
+                if not quiet:
+                    print(
+                        f"target{t_idx} repeat {rep}: best={best_fit:.6f} "
+                        f"baseline={base_best:.6f}"
+                    )
+        with _writing_in(out_dir):
+            (out_dir / "summary.csv").write_text("\n".join(summary_rows) + "\n")
+            emit_convergence_svg(all_traces, all_baselines, out_dir / "convergence.svg")
+    finally:
+        if child is not None:
+            os.waitpid(child, 0)
     return 0
 
 

@@ -216,8 +216,10 @@ def _predictions(final: np.ndarray) -> np.ndarray:
     """<Z_0> of each final state of a stack; label 0 iff it is >= 0."""
     probs = np.abs(final) ** 2
     signs = 1.0 - 2.0 * (np.arange(probs.shape[1]) & 1)
-    # one dot per row: a single matrix product may sum in another order
-    return np.array([np.dot(row, signs) for row in probs])
+    # a stack of (1, d) @ (d, 1) products: numpy takes one dot per row, as
+    # np.dot(row, signs) would; one (rows, d) @ (d,) product may sum in
+    # another order
+    return np.matmul(probs[:, None, :], signs[:, None]).reshape(-1)
 
 
 def _accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -225,9 +227,11 @@ def _accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
-def _mse_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
+def _mse_loss(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The loss of each row of a (trials, samples) stack of predictions,
+    each with the bits of np.mean over that row alone."""
     signed = 1.0 - 2.0 * labels  # label 0 -> +1, label 1 -> -1
-    return float(np.mean((predictions - signed) ** 2))
+    return np.mean((predictions - signed) ** 2, axis=-1)
 
 
 class MLFitness(FitnessFunction):
@@ -290,7 +294,9 @@ class MLFitness(FitnessFunction):
         run their own copy of column c, and then run the later columns as
         one stack, so a step holds one extra stack of at most
         2 * n_qubits * n_samples states (the kernels copy it once per gate).
-        Every trial's loss has the bits of a whole run of its circuit.
+        One call reads the stack's predictions and one its trials' losses,
+        with the bits of one np.dot per row and one np.mean per trial, so
+        every trial's loss has the bits of a whole run of its circuit.
         The input circuit is never modified. QcevolveError if a step leaves
         an angle that is not finite, or one so large that theta + FD_STEP
         and theta - FD_STEP are the same float.
@@ -329,10 +335,8 @@ class MLFitness(FitnessFunction):
                 final = stack.reshape(-1, encoded.shape[1])
                 if c + 1 < current.depth:
                     final = simulator.run_gates(final, _columns(current, c + 1, current.depth))
-                z0 = _predictions(final).reshape(len(stack), -1)
-                losses = [_mse_loss(p, labels) for p in z0]
-                for j, (i, _) in enumerate(trials):
-                    grad[i] = (losses[2 * j] - losses[2 * j + 1]) / (2 * FD_STEP)
+                losses = _mse_loss(_predictions(final).reshape(len(stack), -1), labels)
+                grad[[i for i, _ in trials]] = (losses[0::2] - losses[1::2]) / (2 * FD_STEP)
             with np.errstate(over="ignore", invalid="ignore"):
                 thetas = thetas - self.learning_rate * grad
             if not np.isfinite(thetas).all():

@@ -1,4 +1,5 @@
 
+import errno
 import json
 import os
 import signal
@@ -879,6 +880,58 @@ class TestBaselineAlongside:
         monkeypatch.undo()
         assert code == 0
         code, expected = self.run(tmp_path, monkeypatch, "in_process", SMOKE_CONFIG)
+        assert snapshot(out) == snapshot(expected)
+
+    def test_failed_pipe_runs_the_baseline_here(self, tmp_path, monkeypatch):
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        code, out = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        monkeypatch.undo()
+        assert code == 0
+        code, expected = self.run(tmp_path, monkeypatch, "in_process", SMOKE_CONFIG)
+        assert snapshot(out) == snapshot(expected)
+
+    def test_unwritable_artifact_after_a_forked_pair(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "forked"
+        out.mkdir()
+        (out / "target0_rep0").write_text("")
+        code, _ = self.run(tmp_path, monkeypatch, "forked", SMOKE_CONFIG)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"run failed: cannot write {out / 'target0_rep0'}: File exists\n"
+        )
+
+    def test_one_child_at_a_time_reaped_after_its_artifacts(self, tmp_path, monkeypatch):
+        unreaped, most, written = set(), [], []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                unreaped.add(pid)
+                most.append(len(unreaped))
+            return pid
+
+        def waitpid(pid, options):
+            done = real_waitpid(pid, options)
+            if done[0] in unreaped:
+                unreaped.remove(done[0])
+                written.append(len(list(out.glob("target*_rep0/trace.csv"))))
+            return done
+
+        real_fork, real_waitpid = os.fork, os.waitpid
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        text = SMOKE_CONFIG.replace("target_seeds = 0", "target_seeds = 0,1,2,3")
+        out = tmp_path / "forked"
+        code, _ = self.run(tmp_path, monkeypatch, "forked", text)
+        monkeypatch.undo()
+        assert code == 0
+        assert most == [1, 1, 1, 1]
+        assert not unreaped
+        assert written == [1, 2, 3, 4]  # each after its own pair's artifacts
+        code, expected = self.run(tmp_path, monkeypatch, "in_process", text)
         assert snapshot(out) == snapshot(expected)
 
     @pytest.mark.parametrize("path", ["forked", "in_process"])

@@ -247,7 +247,8 @@ class TestMLFitness:
                     np.dot(np.abs(run_gates(_encode_features(n, x), c)) ** 2, signs)
                     for x in ds.features
                 ]
-                assert np.array_equal(_predictions(run_gates(encoded, c)), np.array(expected))
+                got = _predictions(run_gates(encoded, c))
+                assert got.tobytes() == np.array(expected).tobytes()
 
     def test_one_fitness_over_several_widths_equals_fresh_ones(self, rng):
         ds = separable_dataset()

@@ -20,7 +20,7 @@ import pytest
 
 from qcevolve.circuit import IDENTITY, Circuit, random_circuit, serialize
 from qcevolve.engine import RunConfig, evolve
-from qcevolve.fitness import Dataset, FitnessFunction, MLFitness
+from qcevolve.fitness import Dataset, EntanglementFitness, FitnessFunction, MLFitness
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
@@ -229,7 +229,7 @@ def test_wide_simulation_bits(gate_set, width):
 # depths 1-5 drawn in order from one generator per seed, each with its own
 # dataset of 8 samples and `width` features; one table per OpenBLAS core,
 # since training runs every one-qubit gate through np.matmul and every
-# prediction through np.dot. Unlike the amplitude digests above, Nehalem's
+# prediction through a BLAS dot product. Unlike the amplitude digests above, Nehalem's
 # differ from Sandybridge's.
 ML_TRAINING_DIGESTS = {
     "SkylakeX": {
@@ -304,6 +304,51 @@ def _ml_training_digest(gate_set: str, width: int) -> str:
 def test_ml_training_bits(gate_set, width):
     digest = _ml_training_digest(gate_set, width)
     assert digest == recorded_for_this_core(ML_TRAINING_DIGESTS)[gate_set, width]
+
+
+# sha256 over repr(EntanglementFitness.evaluate) for seeds 0-2 and depths
+# 1-10 drawn in order from one generator per seed; one table per OpenBLAS
+# core, since the score runs the simulation's np.matmul and eigvalsh.
+# Nehalem and Sandybridge gave the same digests.
+ENTANGLEMENT_DIGESTS = {
+    "SkylakeX": {
+        2: "3d29ed3d3c26eb729af2eb4a71f78fbdae3021369408d5bd2d764e9f2cdace37",
+        3: "4dc9e8f51cdf354b1d3ac3c0bf2b9575d9db5dc98f9e5c4df23743dc5bf56926",
+        4: "976a05c84f9c7aef322b3cc71e33d1ff51f382bc8649e6152bef6a05fb2bccb0",
+        5: "99da9c32cf893393df3355e0088ad2eb3f4373269e22ca35d3663e85cd5ea942",
+    },
+    "Haswell": {
+        2: "94460d27cb9244748f3aaa28f184f90abd37243a99b6b56c6ddcb6a8c0005462",
+        3: "3e4d7a52c9a3dd4f4f69fdf6a4c20afa068986a8dd91162b768a237ca30297ee",
+        4: "a0bf2364f7792c19c12bfdab10d282d4618fd876fd2d23ae6e2c7164e9c9d5da",
+        5: "ef877288e4df494cfcb7accf7779452eb649e301e17ba957ed53d64f221c887d",
+    },
+    "Sandybridge": {
+        2: "f43a25ee446614ba814d935236adc96c016e671463632bede23140ac98dcb639",
+        3: "c97228e75346de7c3db0934c99fecf67e6a40905330ae065ac1aa756c7c1e1d6",
+        4: "3536f535b546711b118390a6433bee65f0b9f9535f50063238879e510f38d4b6",
+        5: "f740fd4ef6bad61a1623ac4f372ca96f2c56d07675b9c3058cfc5517e1c91c0b",
+    },
+    "Katmai": {
+        2: "117b6f8d900bbc139c8fe4fa3ddb54789c5fdffa12603e12c95d569b04e8b2df",
+        3: "37085a46f19b5c41d81a62d94478fe4728486df8f852b0fadcf7c4fa843c4b97",
+        4: "4377ee389bdd30463f4a4203b81de56371be6f132a4f255f2c1db85703f05531",
+        5: "daa212b39ce9ef948dee9a4cf174afc386cc00c99dccf3f020215511b7fda0e0",
+    },
+}
+ENTANGLEMENT_DIGESTS["Nehalem"] = ENTANGLEMENT_DIGESTS["Sandybridge"]
+
+
+@pytest.mark.parametrize("width", sorted(ENTANGLEMENT_DIGESTS["SkylakeX"]))
+def test_entanglement_fitness_bits(width):
+    h = hashlib.sha256()
+    fitness = EntanglementFitness()
+    for seed in SEEDS:
+        rng = np.random.default_rng(800 + seed)
+        for depth in range(1, 11):
+            c = random_circuit(width, depth, FULL_GATE_SET, rng)
+            h.update(repr(fitness.evaluate(c)).encode())
+    assert h.hexdigest() == recorded_for_this_core(ENTANGLEMENT_DIGESTS)[width]
 
 
 def _draw_digest(gate_set: str, width: int, make_rng) -> str:

@@ -30,7 +30,14 @@ from qcevolve.circuit import (
 )
 from qcevolve.errors import CircuitStructureError
 from qcevolve.engine import CROSSOVER_METHODS
-from qcevolve.fitness import FD_STEP, Dataset, MLFitness, _encode_features
+from qcevolve.fitness import (
+    FD_STEP,
+    Dataset,
+    MLFitness,
+    _encode_features,
+    _mse_loss,
+    _predictions,
+)
 from qcevolve.gates import GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
@@ -284,6 +291,22 @@ def _reference_training(fitness: MLFitness, circuit: Circuit):
         trained = rebuilt(thetas)
     accuracy = float(np.mean((predictions(trained) < 0).astype(int) == labels))
     return accuracy, trained, thetas
+
+
+@given(st.integers(1, 12), st.integers(1, 64), st.integers(1, 300), seeds)
+def test_stacked_readout_equals_per_row_calls(n, rows, samples, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    signs = 1.0 - 2.0 * (np.arange(2**n) & 1)
+    expected = np.array([np.dot(row, signs) for row in np.abs(states) ** 2])
+    # bit for bit: one call per stack stands for one np.dot per row
+    assert _predictions(states).tobytes() == expected.tobytes()
+    predictions = rng.uniform(-1.0, 1.0, size=(rows, samples))
+    labels = rng.integers(2, size=samples)
+    expected = np.array([np.mean((p - (1.0 - 2.0 * labels)) ** 2) for p in predictions])
+    # and one row-wise mean for one np.mean per trial
+    assert _mse_loss(predictions, labels).tobytes() == expected.tobytes()
 
 
 # rotations mixed with pairs and identity cells
