@@ -286,6 +286,20 @@ def random_column(
     return tuple(cells)  # type: ignore[arg-type]
 
 
+def check_gate_set(
+    gate_set: frozenset[GateKind], n_qubits: int, name: str = "gate set"
+) -> None:
+    """ConfigurationError, naming the set as `name`, unless `random_circuit`
+    can draw n_qubits-wide circuits from `gate_set`: it is nonempty, and
+    holds a one-qubit kind when n_qubits < 2."""
+    if not gate_set:
+        raise ConfigurationError(f"{name} is empty")
+    if n_qubits < 2 and all(k.arity == 2 for k in gate_set):
+        raise ConfigurationError(
+            f"{name} contains only two-qubit gates but n_qubits < 2"
+        )
+
+
 def random_circuit(
     n_qubits: int,
     depth: int,
@@ -301,16 +315,11 @@ def random_circuit(
 
     From a Generator over PCG64 the draws come from _PCG64Draws: the same
     numbers, and the same generator state afterwards, for less."""
-    if not gate_set:
-        raise ConfigurationError("gate set is empty")
     if n_qubits < 1 or n_qubits > MAX_QUBITS:
         raise ConfigurationError(f"n_qubits {n_qubits} out of range")
     if depth < 1:
         raise ConfigurationError(f"depth {depth} must be >= 1")
-    if n_qubits < 2 and all(k.arity == 2 for k in gate_set):
-        raise ConfigurationError(
-            "gate set contains only two-qubit gates but n_qubits < 2"
-        )
+    check_gate_set(gate_set, n_qubits)
     table = _draw_table(gate_set)
     if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
         with _PCG64Draws(rng, 2 * n_qubits * depth) as draws:

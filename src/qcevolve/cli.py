@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import deserialize, export_qasm, random_circuit, serialize
+from .circuit import check_gate_set, deserialize, export_qasm, random_circuit, serialize
 from .engine import (
     GenerationRecord,
     RunConfig,
@@ -169,6 +169,10 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         raise ConfigurationError(
             f"{path}: target_seeds and target_file are mutually exclusive"
         )
+    try:
+        check_gate_set(spec.target_gate_set, run_config.n_qubits, "target_gate_set")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return spec
 
 

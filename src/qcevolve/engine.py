@@ -9,7 +9,7 @@ from numbers import Real
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, export_qasm, random_circuit, validate
+from .circuit import MAX_QUBITS, Circuit, check_gate_set, export_qasm, random_circuit, validate
 from .errors import CircuitStructureError, ConfigurationError, QcevolveError
 from .fitness import FitnessFunction
 from .gates import FULL_GATE_SET, GateKind
@@ -107,8 +107,7 @@ class RunConfig:
             raise ConfigurationError("need 1 <= depth <= max_depth")
         if cfg.children_per_generation < 1:
             raise ConfigurationError("children_per_generation must be >= 1")
-        if not cfg.gate_set:
-            raise ConfigurationError("gate_set must be nonempty")
+        check_gate_set(cfg.gate_set, cfg.n_qubits, "gate_set")
         if cfg.mutation_weights is not None:
             check_mutation_weights(cfg.mutation_weights)
         return cfg
@@ -157,6 +156,12 @@ def _crossover(
     return crossover_single_point(a, b, rng)
 
 
+# random_baseline draws and scores at most this many circuits at a time:
+# enough for the stacked simulation to gain at every width it serves, and
+# bounded, so a long run's draws are not all held at once.
+_BASELINE_CHUNK = 256
+
+
 class _Evaluator:
     """Scores circuits with `FitnessFunction.score`, which also returns the
     circuit to keep (for a Lamarckian fitness, the trained one).
@@ -173,10 +178,28 @@ class _Evaluator:
         self.memo: dict[Circuit, Individual] = {}
 
     def score(self, circuit: Circuit) -> Individual:
-        """Run the fitness on `circuit`, bypassing the memo. QcevolveError
-        unless it returns a pair of a finite real score, which selection
-        can rank, and `circuit` itself or a valid circuit of its shape."""
-        result = self.fitness_fn.score(circuit)
+        """Run the fitness on `circuit`, bypassing the memo."""
+        return self._checked(circuit, self.fitness_fn.score(circuit))
+
+    def score_all(self, circuits: list[Circuit]) -> list[Individual]:
+        """`score` of each circuit, from one `score_all` call of the
+        fitness. QcevolveError unless it returns a list of one result per
+        circuit."""
+        results = self.fitness_fn.score_all(circuits)
+        if not isinstance(results, list) or len(results) != len(circuits):
+            fn = self.fitness_fn
+            raise QcevolveError(
+                f"fitness '{fn.name}' ({type(fn).__name__}) returned "
+                f"{reprlib.repr(results)} from score_all, not a list of "
+                f"{len(circuits)} results"
+            )
+        return [self._checked(c, result) for c, result in zip(circuits, results)]
+
+    def _checked(self, circuit: Circuit, result) -> Individual:
+        """The Individual of what the fitness returned for `circuit`.
+        QcevolveError unless it is a pair of a finite real score, which
+        selection can rank, and `circuit` itself or a valid circuit of its
+        shape."""
         # a Circuit is a tuple of two as well: its width and its grid
         if isinstance(result, Circuit) or not (
             isinstance(result, tuple) and len(result) == 2
@@ -307,20 +330,29 @@ def random_baseline(
 
     Generation 0 draws population_size circuits (matching GA init), every
     later generation draws children_per_generation. Every draw is scored:
-    there is no memo, and the budget counts draws.
+    there is no memo, and the budget counts draws. The draws are made in
+    order and scored by the fitness's `score_all`, in chunks of at most
+    _BASELINE_CHUNK that span generations, so a fitness that stacks its
+    simulations stacks whole chunks.
     """
     cfg = config.resolved()
     fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
     evaluator = _Evaluator(fitness_fn)
+    budgets = [cfg.population_size] + [cfg.children_per_generation] * cfg.generations
+    total = sum(budgets)
+    fits: list[Real] = []
+    while len(fits) < total:
+        chunk = [
+            random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
+            for _ in range(min(_BASELINE_CHUNK, total - len(fits)))
+        ]
+        fits += [ind.fitness for ind in evaluator.score_all(chunk)]
     best = -np.inf
     trace = []
-    for gen in range(cfg.generations + 1):
-        budget = cfg.population_size if gen == 0 else cfg.children_per_generation
-        for _ in range(budget):
-            ind = evaluator.score(
-                random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
-            )
-            if ind.fitness > best:
-                best = ind.fitness
+    start = 0
+    for budget in budgets:
+        # max keeps the first of equal values, as a running `>` test does
+        best = max(best, *fits[start : start + budget])
+        start += budget
         trace.append(float(best))
     return trace

@@ -20,6 +20,7 @@ from .simulator import (
     n_qubits_of,
     partial_trace,
     simulate,
+    simulate_all,
     von_neumann_entropy,
     zero_state,
 )
@@ -27,7 +28,8 @@ from .gates import GateKind
 
 
 class FitnessFunction:
-    """Base class: `evolve` and `random_baseline` call only `score`.
+    """Base class: `evolve` calls only `score`, and `random_baseline` only
+    `score_all`.
 
     `score(circuit)` returns (fitness, circuit to keep), by default
     (self.evaluate(circuit), circuit). A fitness that overrides `score` may
@@ -39,6 +41,15 @@ class FitnessFunction:
     equal to the input, not to the circuit kept. `qcevolve run` may call it
     for the random baseline in a forked child: state the object keeps then
     records the baseline's calls only in the child.
+
+    `score_all(circuits)` returns the list of `score(circuit)` of each
+    circuit in order, by default by calling `score` on each. An override
+    may score them together, but must return for each circuit exactly what
+    `score` returns for it. `random_baseline` passes it its draws in
+    chunks, which may span generations. The built-in fidelity and
+    entanglement fitnesses simulate a chunk as stacks of states
+    (`simulator.simulate_all`, which validates every circuit first), unless
+    a subclass overrides `evaluate` or `score`.
     """
 
     name = "abstract"
@@ -49,6 +60,10 @@ class FitnessFunction:
     def score(self, circuit: Circuit) -> tuple[float, Circuit]:
         """(fitness, circuit to keep); see the class docstring."""
         return self.evaluate(circuit), circuit
+
+    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
+        """`score` of each circuit; see the class docstring."""
+        return [self.score(c) for c in circuits]
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
@@ -121,6 +136,26 @@ def _check_finite(setting: str, value: float) -> None:
         raise ConfigurationError(f"{setting} must be finite, got {value}")
 
 
+def _score_final_states(
+    fn: FitnessFunction, builtin: type, circuits: list[Circuit]
+) -> list[tuple[float, Circuit]]:
+    """`score_all` of a built-in fitness whose `evaluate` checks the
+    circuit's width, simulates it and scores the final state with
+    `_state_score`: the same steps, with the chunk's states from one
+    `simulate_all` call. An instance of a subclass that overrides `evaluate`
+    or `score` is scored by its override, one circuit at a time. Both are
+    looked up on the classes at each call: a wrapper set on the built-in
+    class itself, as a tracer sets, keeps its instances stacked."""
+    cls = type(fn)
+    if cls.evaluate is not builtin.evaluate or cls.score is not FitnessFunction.score:
+        return FitnessFunction.score_all(fn, circuits)
+    for circuit in circuits:
+        n = circuit.n_qubits
+        fn.check_qubit_bounds(n, n, n)
+    states = simulate_all(circuits)
+    return [(fn._state_score(c, state), c) for c, state in zip(circuits, states)]
+
+
 class FidelityFitness(FitnessFunction):
     """Fidelity to `target`, minus `depth_weight * depth / max_depth`."""
 
@@ -139,7 +174,13 @@ class FidelityFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
-        score = fidelity(simulate(circuit), self.target)
+        return self._state_score(circuit, simulate(circuit))
+
+    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
+        return _score_final_states(self, FidelityFitness, circuits)
+
+    def _state_score(self, circuit: Circuit, state: np.ndarray) -> float:
+        score = fidelity(state, self.target)
         if self.depth_weight:
             score -= self.depth_weight * circuit.depth / self.max_depth
         return score
@@ -163,7 +204,13 @@ class EntanglementFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
-        state = simulate(circuit)
+        return self._state_score(circuit, simulate(circuit))
+
+    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
+        return _score_final_states(self, EntanglementFitness, circuits)
+
+    def _state_score(self, circuit: Circuit, state: np.ndarray) -> float:
+        n = circuit.n_qubits
         # row k is the state with qubit k moved to the top bit, so one
         # partial trace over the top bit gives every one-qubit marginal
         rows = np.empty((n, len(state)), dtype=state.dtype)

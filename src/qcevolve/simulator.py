@@ -6,6 +6,7 @@ axis n-1-k.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import cache
 
 import numpy as np
@@ -155,6 +156,80 @@ def simulate(circuit: Circuit) -> np.ndarray:
     """Run the circuit column by column from the zero state."""
     validate(circuit)
     return run_gates(zero_state(circuit.n_qubits), circuit)
+
+
+# `simulate_all` stacks circuits of one shape on at most _STACK_MAX_QUBITS
+# qubits, at most _STACK_AMPLITUDES amplitudes per stack. On depth-20
+# circuits over the full gate set (2 vCPUs, AVX-512, one core), stacks of
+# 64 rows ran 2.2x (n = 2), 1.7x (n = 4), 1.5x (n = 6) and 1.2x (n = 8) as
+# fast as one circuit at a time, and stacks of 512 rows 2.5-2.7x (n <= 4)
+# and 1.8x (n = 6). At 7 and 8 qubits the gain stopped growing at 2**15
+# amplitudes (256 and 128 rows). From 9 qubits, where `run_gates` takes the
+# one-call layout, a stack ran at 0.7-1.0x. The limit must stay below 9 in
+# any case: a stack keeps the bits of the per-block layout only.
+_STACK_MAX_QUBITS = 8
+_STACK_AMPLITUDES = 1 << 15
+
+
+def simulate_all(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
+    """`simulate` of each circuit, in order, each state with the bits
+    `simulate` gives it. Every circuit is validated before any is run.
+    Circuits of one shape on at most _STACK_MAX_QUBITS qubits then run from
+    the zero state as (rows, 2**n) stacks, others one at a time, each when
+    its first state is read: a reader that drops each state before reading
+    the next holds one stack or one state at a time."""
+    for circuit in circuits:
+        validate(circuit)
+    return _states(circuits)
+
+
+def _states(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
+    if len({(c.n_qubits, c.depth) for c in circuits}) != 1 or (
+        circuits[0].n_qubits > _STACK_MAX_QUBITS
+    ):
+        for circuit in circuits:
+            yield run_gates(zero_state(circuit.n_qubits), circuit)
+        return
+    rows = _STACK_AMPLITUDES >> circuits[0].n_qubits
+    for start in range(0, len(circuits), rows):
+        yield from _run_stack(circuits[start : start + rows])
+
+
+def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
+    """The states of validated circuits of one shape, row i for circuit i,
+    cell by cell in `run_gates` order: at each cell, one `np.matmul` of the
+    rows' matrices over the rows holding a one-qubit gate makes the BLAS
+    call per (2, 2**q) block that `_apply_1q_fast` makes for a row alone,
+    and each (kind, partner) group of rows holding a control half goes
+    through its kernel. Rows holding an identity or a target half are not
+    touched: multiplying by I would turn -0.0 into +0.0."""
+    n, depth = circuits[0].n_qubits, circuits[0].depth
+    grids = [c.grid for c in circuits]
+    state = np.zeros((len(grids), 1 << n), dtype=complex)
+    state[:, 0] = 1.0
+    for col in range(depth):
+        for q in range(n):
+            single, matrices, pairs = [], [], {}
+            for i, grid in enumerate(grids):
+                kind, role, theta, partner = grid[q][col]
+                if kind is _ID or role is _TARGET:
+                    continue
+                if kind is _CX or kind is _CZ:
+                    pairs.setdefault((kind, partner), []).append(i)
+                else:
+                    single.append(i)
+                    matrices.append(
+                        _FIXED_MATRICES[kind] if theta is None else gate_matrix(kind, theta)
+                    )
+            if single:
+                blocks = state[single].reshape(len(single), -1, 2, 1 << q)
+                state[single] = np.matmul(np.array(matrices)[:, None], blocks).reshape(
+                    len(single), -1
+                )
+            for (kind, partner), group in pairs.items():
+                kernel = _apply_cx_fast if kind is _CX else _apply_cz_fast
+                state[group] = kernel(state[group], q, partner, n)
+    return state
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

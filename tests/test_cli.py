@@ -374,6 +374,24 @@ class TestMainEntry:
         assert "mutation_weights must be finite and nonnegative, not all zero, with a finite sum" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["gate_set", "target_gate_set"])
+    def test_two_qubit_gates_alone_on_one_qubit(self, tmp_path, capsys, monkeypatch, key):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a circuit was drawn")
+
+        monkeypatch.setattr(cli, "random_circuit", no_draw)
+        monkeypatch.setattr(engine, "random_circuit", no_draw)
+        cfg = write_config(
+            tmp_path,
+            f"n_qubits = 1\ndepth = 2\npopulation_size = 4\ngenerations = 1\n{key} = cx,cz\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {key} contains only two-qubit gates but n_qubits < 2\n"
+        )
+        assert not out.exists()
+
     def test_ml_needs_a_qubit_per_feature(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0.1,0.2,0.3,0\n0.9,0.8,0.7,1\n")

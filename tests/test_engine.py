@@ -14,6 +14,7 @@ from qcevolve.circuit import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    export_qasm,
     from_columns,
     pad_to,
     random_circuit,
@@ -92,6 +93,7 @@ class TestRunConfig:
             {"max_depth": 19},
             {"children_per_generation": 0},
             {"gate_set": frozenset()},
+            {"n_qubits": 1, "gate_set": frozenset({GateKind.CX, GateKind.CZ})},
             {"crossover_points": 0},
             {"crossover_method": "multi_point", "crossover_points": -3},
         ],
@@ -312,6 +314,76 @@ class TestRandomBaseline:
         t2 = random_baseline(cfg, EntanglementFitness(), np.random.default_rng(5))
         assert t1 == t2
 
+    @staticmethod
+    def plain_baseline(config, fn, rng):
+        """The baseline written out: draw, `score` and running max, one
+        circuit at a time."""
+        cfg = config.resolved()
+        best, trace = -np.inf, []
+        for gen in range(cfg.generations + 1):
+            for _ in range(cfg.population_size if gen == 0 else cfg.children_per_generation):
+                fit, _ = fn.score(random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng))
+                if fit > best:
+                    best = fit
+            trace.append(float(best))
+        return trace
+
+    FITNESSES = {
+        "fidelity": lambda: FidelityFitness(
+            simulate(random_circuit(3, 4, FULL_GATE_SET, np.random.default_rng(5))),
+            depth_weight=0.1,
+        ),
+        "entanglement": EntanglementFitness,
+        "ml": lambda: MLFitness(
+            Dataset(np.array([[0.1, 0.8], [0.9, 0.3], [0.4, 0.6]]), np.array([0, 1, 0])),
+            train_steps=1,
+        ),
+        # no score_all of its own: the default calls score per circuit
+        "custom": lambda: CountingFitness(EntanglementFitness()),
+    }
+
+    # 10 + 9 * generations draws; a chunk of 16 holds a generation boundary
+    @pytest.mark.parametrize("chunk,generations", [(16, 5), (engine._BASELINE_CHUNK, 30)])
+    @pytest.mark.parametrize("fitness", sorted(FITNESSES))
+    def test_same_trace_and_generator_as_plain_loop(
+        self, monkeypatch, fitness, chunk, generations
+    ):
+        monkeypatch.setattr(engine, "_BASELINE_CHUNK", chunk)
+        cfg = small_config(n_qubits=3, depth=4, generations=generations)
+        assert 10 + 9 * generations > chunk
+        fn = self.FITNESSES[fitness]()
+        rng, plain_rng = np.random.default_rng(11), np.random.default_rng(11)
+        trace = random_baseline(cfg, fn, rng)
+        expected = self.plain_baseline(cfg, self.FITNESSES[fitness](), plain_rng)
+        assert ["%.17g" % t for t in trace] == ["%.17g" % t for t in expected]
+        assert rng.bit_generator.state == plain_rng.bit_generator.state
+
+    def test_overrides_of_a_builtin_fitness_score(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BASELINE_CHUNK", 16)
+        target = simulate(random_circuit(2, 3, FULL_GATE_SET, np.random.default_rng(5)))
+
+        class Evaluated(FidelityFitness):
+            calls = 0
+
+            def evaluate(self, circuit):
+                self.calls += 1
+                return float(self.calls)
+
+        class Scored(FidelityFitness):
+            calls = 0
+
+            def score(self, circuit):
+                self.calls += 1
+                return -float(self.calls), circuit
+
+        cfg = small_config(generations=3)
+        evaluated, scored = Evaluated(target), Scored(target)
+        assert random_baseline(cfg, evaluated, np.random.default_rng(0)) == [
+            10.0, 19.0, 28.0, 37.0
+        ]
+        assert random_baseline(cfg, scored, np.random.default_rng(0)) == [-1.0] * 4
+        assert evaluated.calls == scored.calls == 10 + 3 * 9
+
 
 class BadReturn:
     """A whole return of `score`, made from the circuit scored. The engine
@@ -401,9 +473,36 @@ class TestScoreChecks:
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_rejected_in_baseline(self, bad):
-        message = rf"{self.returned(bad)}, for the 2x3 circuit: "
+        # the message names the circuit of the bad_at-th draw, though its
+        # chunk of draws is scored in one score_all call
+        rng = np.random.default_rng(0)
+        draws = [random_circuit(2, 3, FULL_GATE_SET, rng) for _ in range(12)]
+        gates = " ".join(export_qasm(draws[-1]).splitlines()[3:])
+        message = rf"{self.returned(bad)}, for the 2x3 circuit: {re.escape(gates)}$"
         with pytest.raises(QcevolveError, match=message):
             random_baseline(small_config(), ScriptedFitness(bad), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (lambda scores: scores[:-1], r"\[\(.*\]"),
+            (lambda scores: scores + scores[:1], r"\[\(.*\]"),
+            (tuple, r"\(\(.*\)"),
+            (lambda scores: None, "None"),
+        ],
+        ids=["short", "long", "tuple", "None"],
+    )
+    def test_score_all_of_another_length_or_type_rejected(self, change, match):
+        class Miscounting(EntanglementFitness):
+            def score_all(self, circuits):
+                return change(super().score_all(circuits))
+
+        message = (
+            rf"fitness 'entanglement' \(Miscounting\) returned {match} from "
+            r"score_all, not a list of 10 results$"
+        )
+        with pytest.raises(QcevolveError, match=message):
+            random_baseline(small_config(generations=0), Miscounting(), np.random.default_rng(0))
 
     @staticmethod
     def returned(bad):

@@ -7,6 +7,7 @@ raw-word draws that build those circuits are checked against numpy's own.
 from __future__ import annotations
 
 from math import pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import simulate_oracle
 
+from qcevolve import simulator
 from qcevolve.circuit import (
     Circuit,
     _PCG64Draws,
@@ -38,7 +40,7 @@ from qcevolve.fitness import (
     _mse_loss,
     _predictions,
 )
-from qcevolve.gates import GateKind
+from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.operators import (
     MUTATION_METHODS,
     MutationContext,
@@ -248,6 +250,43 @@ def test_stacked_run_gates_equals_per_row_runs(circuit, batch, seed):
     for row, state in zip(stacked, states):
         # bit for bit: the ML fitness scores a whole dataset in one stack
         assert row.tobytes() == run_gates(state.copy(), circuit).tobytes()
+
+
+def _pinned_cells(n: int, depth: int) -> Circuit:
+    """Identity on every row but the top two, where each column holds a CX
+    with its target half on row 0: in a stack, this row holds an identity
+    or a target half where the others hold gates."""
+    if n < 2:
+        return Circuit(1, ((shared_cell(GateKind.ID),) * depth,))
+    top = (shared_cell(GateKind.CX, Role.TARGET, 1),) * depth
+    second = (shared_cell(GateKind.CX, Role.CONTROL, 0),) * depth
+    rest = ((shared_cell(GateKind.ID),) * depth,) * (n - 2)
+    return Circuit(n, (top, second) + rest)
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.sampled_from([FULL_GATE_SET, RESTRICTED_GATE_SET]),
+    st.integers(1, 20),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_stacked_simulation_equals_simulate(n, depth, gate_set, rows, cap, data):
+    """Every row of the stacks `simulate_all` runs has the bits of
+    `simulate` on its circuit alone, on stacks cut at `cap` rows: a chunk
+    holds from 1 to 20 circuits, so stacks fall on both sides of the cap."""
+    rng = np.random.default_rng(data.draw(seeds))
+    circuits = [random_circuit(n, depth, gate_set, rng) for _ in range(rows)]
+    circuits.insert(data.draw(st.integers(0, rows)), _pinned_cells(n, depth))
+    # run_gates is the one-at-a-time path: it must not run here
+    with mock.patch.object(simulator, "_STACK_AMPLITUDES", cap << n), mock.patch.object(
+        simulator, "run_gates", side_effect=AssertionError("not stacked")
+    ):
+        states = list(simulator.simulate_all(circuits))
+    assert len(states) == len(circuits)
+    for state, circuit in zip(states, circuits):
+        assert state.tobytes() == simulator.simulate(circuit).tobytes()
 
 
 # ---------------------------------------------------------------------------

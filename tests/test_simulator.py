@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from conftest import bell_circuit
 from oracles import embed_unitary, partial_trace_oracle, simulate_oracle
 
+from qcevolve import simulator
 from qcevolve.circuit import Circuit, Gate, Role, random_circuit
-from qcevolve.errors import ConfigurationError
+from qcevolve.errors import CircuitStructureError, ConfigurationError
 from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind, gate_matrix
 from qcevolve.simulator import (
     apply_gate,
@@ -15,6 +16,7 @@ from qcevolve.simulator import (
     partial_trace,
     run_gates,
     simulate,
+    simulate_all,
     von_neumann_entropy,
     zero_state,
 )
@@ -137,6 +139,21 @@ class TestSimulate:
             depth = int(rng.integers(1, 11))
             c = random_circuit(n, depth, FULL_GATE_SET, rng)
             assert np.abs(simulate(c) - simulate_oracle(c)).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "shapes", [[(3, 4), (3, 5), (2, 4)], [(9, 3)] * 3], ids=["mixed", "wide"]
+    )
+    def test_simulate_all_runs_others_one_at_a_time(self, shapes, rng):
+        circuits = [random_circuit(n, d, FULL_GATE_SET, rng) for n, d in shapes]
+        states = simulate_all(circuits)
+        assert [s.tobytes() for s in states] == [simulate(c).tobytes() for c in circuits]
+
+    def test_simulate_all_validates_every_circuit_first(self, rng, monkeypatch):
+        circuits = [random_circuit(2, 3, FULL_GATE_SET, rng) for _ in range(3)]
+        circuits.append(Circuit(2, circuits[0].grid[:1]))
+        monkeypatch.setattr(simulator, "_run_stack", None)
+        with pytest.raises(CircuitStructureError, match="1 rows for 2 qubits"):
+            simulate_all(circuits)
 
 
 class TestRunGatesBatch:
