@@ -501,6 +501,11 @@ def _writing_in(directory: Path):
 def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     """Run GA + baseline for every target x repeat; write all artifacts."""
     cfg = spec.run_config.resolved()
+    # every configuration error is raised before the output directory is made
+    targets = _build_targets(spec)
+    fitnesses = [_make_fitness(spec, cfg, target) for target in targets]
+    for fitness_fn in fitnesses:
+        fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
     out_dir = Path(spec.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +513,6 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
         raise ConfigurationError(
             f"cannot create output directory {out_dir}: {exc.strerror or exc}"
         ) from None
-    targets = _build_targets(spec)
     all_traces: list[list[GenerationRecord]] = []
     all_baselines: list[list[float]] = []
     summary_rows = ["run,target,repeat,best_fitness,final_mean_fitness,baseline_best_fitness"]
@@ -516,8 +520,7 @@ def run_experiment(spec: ExperimentSpec, quiet: bool = False) -> int:
     # exiting: reaped before the next fork, so at most one is unreaped
     child = None
     try:
-        for t_idx, target in enumerate(targets):
-            fitness_fn = _make_fitness(spec, cfg, target)
+        for t_idx, (target, fitness_fn) in enumerate(zip(targets, fitnesses)):
             for rep in range(spec.n_repeats):
                 label = f"t{t_idx}r{rep}"
                 streams = make_rng_streams(cfg.seed, [f"{label}/ga", f"{label}/baseline"])

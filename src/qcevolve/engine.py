@@ -163,10 +163,10 @@ _BASELINE_CHUNK = 256
 
 
 class _Evaluator:
-    """Scores circuits with `FitnessFunction.score`, which also returns the
-    circuit to keep (for a Lamarckian fitness, the trained one).
+    """Scores circuits with `FitnessFunction.score_all`, which also returns
+    the circuit to keep for each (for a Lamarckian fitness, the trained one).
 
-    `evaluate` goes through a memo keyed by the circuit passed to the
+    `evaluate_all` goes through a memo keyed by the circuit passed to the
     fitness, not the one kept, so a circuit the memo holds is not scored
     again. `keep_only` bounds it to the entries of the current population;
     between two calls it also holds that generation's children, so at most
@@ -177,14 +177,10 @@ class _Evaluator:
         self.fitness_fn = fitness_fn
         self.memo: dict[Circuit, Individual] = {}
 
-    def score(self, circuit: Circuit) -> Individual:
-        """Run the fitness on `circuit`, bypassing the memo."""
-        return self._checked(circuit, self.fitness_fn.score(circuit))
-
     def score_all(self, circuits: list[Circuit]) -> list[Individual]:
-        """`score` of each circuit, from one `score_all` call of the
-        fitness. QcevolveError unless it returns a list of one result per
-        circuit."""
+        """The Individual of each circuit, from one `score_all` call of the
+        fitness, each checked once all are returned. QcevolveError unless it
+        returns a list of one valid result per circuit."""
         results = self.fitness_fn.score_all(circuits)
         if not isinstance(results, list) or len(results) != len(circuits):
             fn = self.fitness_fn
@@ -232,11 +228,14 @@ class _Evaluator:
             f"{circuit.n_qubits}x{circuit.depth} circuit: {gates}"
         )
 
-    def evaluate(self, circuit: Circuit) -> Individual:
-        ind = self.memo.get(circuit)
-        if ind is None:
-            ind = self.memo[circuit] = self.score(circuit)
-        return ind
+    def evaluate_all(self, circuits: list[Circuit]) -> list[Individual]:
+        """The Individual of each circuit through the memo: the distinct
+        circuits it lacks are scored by one `score_all` call, in the order
+        first requested."""
+        new = list(dict.fromkeys(c for c in circuits if c not in self.memo))
+        if new:
+            self.memo.update(zip(new, self.score_all(new)))
+        return [self.memo[c] for c in circuits]
 
     def keep_only(self, members: list[Individual]) -> None:
         """Drop every memo entry whose Individual is not in `members`."""
@@ -291,15 +290,16 @@ def evolve(
     ctx = MutationContext(cfg.gate_set, cfg.min_qubits, cfg.max_qubits, cfg.max_depth)
     evaluator = _Evaluator(fitness_fn)
 
-    members = [
-        evaluator.evaluate(random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng))
+    # a generation is drawn whole, then scored: fitness takes no draws
+    members = evaluator.evaluate_all([
+        random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
         for _ in range(cfg.population_size)
-    ]
+    ])
     trace = [_record(0, members)]
     best_ever = max(members, key=lambda ind: ind.fitness)
 
     for gen in range(1, cfg.generations + 1):
-        children: list[Individual] = []
+        children: list[Circuit] = []
         while len(children) < cfg.children_per_generation:
             pa, pb = _select(members, 2, cfg.parent_selection, cfg, rng)
             if rng.random() < cfg.crossover_prob:
@@ -311,8 +311,8 @@ def evolve(
                     break
                 if rng.random() < cfg.mutation_prob:
                     child = mutate(child, rng, ctx, cfg.mutation_weights)
-                children.append(evaluator.evaluate(child))
-        members = _survivors(members, children, cfg, rng)
+                children.append(child)
+        members = _survivors(members, evaluator.evaluate_all(children), cfg, rng)
         evaluator.keep_only(members)
         gen_best = max(members, key=lambda ind: ind.fitness)
         if gen_best.fitness > best_ever.fitness:

@@ -28,8 +28,7 @@ from .gates import GateKind
 
 
 class FitnessFunction:
-    """Base class: `evolve` calls only `score`, and `random_baseline` only
-    `score_all`.
+    """Base class: `evolve` and `random_baseline` call only `score_all`.
 
     `score(circuit)` returns (fitness, circuit to keep), by default
     (self.evaluate(circuit), circuit). A fitness that overrides `score` may
@@ -45,9 +44,13 @@ class FitnessFunction:
     `score_all(circuits)` returns the list of `score(circuit)` of each
     circuit in order, by default by calling `score` on each. An override
     may score them together, but must return for each circuit exactly what
-    `score` returns for it. `random_baseline` passes it its draws in
-    chunks, which may span generations. The built-in fidelity and
-    entanglement fitnesses simulate a chunk as stacks of states
+    `score` returns for it. `evolve` passes it, once per generation, the
+    distinct circuits its memo lacks, in the order first requested;
+    `random_baseline` passes its draws in chunks, which may span
+    generations. The results are checked once the call returns, so an
+    exception raised for a later circuit of the list comes before the
+    report of a bad result for an earlier one. The built-in fidelity and
+    entanglement fitnesses simulate a list as stacks of states
     (`simulator.simulate_all`, which validates every circuit first), unless
     a subclass overrides `evaluate` or `score`.
     """
@@ -167,6 +170,11 @@ class FidelityFitness(FitnessFunction):
         except ValueError as exc:
             raise ConfigurationError(f"fidelity target: {exc}") from None
         _check_finite("depth_weight", depth_weight)
+        # the penalty of a circuit max_depth deep must not overflow
+        if not isfinite(depth_weight * max_depth):
+            raise ConfigurationError(
+                f"depth_weight * max_depth must be finite, got {depth_weight} * {max_depth}"
+            )
         self.target = target
         self.depth_weight = depth_weight
         self.max_depth = max_depth

@@ -317,7 +317,7 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "min_qubits == n_qubits == max_qubits" in capsys.readouterr().err
-        assert not (out / "target0_rep0").exists()
+        assert not out.exists()
 
     def test_entanglement_needs_two_qubits(self, tmp_path, capsys):
         cfg = write_config(
@@ -328,7 +328,7 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "min_qubits >= 2" in capsys.readouterr().err
-        assert not (out / "target0_rep0").exists()
+        assert not out.exists()
 
     def test_width_beyond_the_simulator_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -403,7 +403,7 @@ class TestMainEntry:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "min_qubits >= 3" in capsys.readouterr().err
-        assert not (out / "target0_rep0").exists()
+        assert not out.exists()
 
     def test_non_finite_fitness_is_a_run_failure(self, tmp_path, capsys, monkeypatch):
         class NanFitness(FitnessFunction):
@@ -469,12 +469,15 @@ class TestMainEntry:
 
 
 class TestUnreadableInputs:
-    """Bad input files are configuration errors: `error: ...`, exit code 2."""
+    """Bad input files are configuration errors: `error: ...`, exit code 2,
+    and `run` makes no output directory."""
 
     def run_error(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists()
         return err
 
     def test_missing_dataset(self, tmp_path, capsys):
@@ -513,13 +516,16 @@ class TestUnreadableInputs:
         assert "8 amplitudes" in err
 
     def test_key_the_fitness_does_not_take(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "fitness = entanglement\ndepth_weight = 0.1\nn_qubits = 2\n"
-            "depth = 2\npopulation_size = 4\ngenerations = 1\n",
-        )
-        err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
-        assert "'depth_weight'" in err
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.9,0\n0.8,0.2,1\n")
+        for fitness in ("entanglement", f"ml\ndataset = {data}"):
+            cfg = write_config(
+                tmp_path,
+                f"fitness = {fitness}\ndepth_weight = 0.1\nn_qubits = 2\n"
+                "depth = 2\npopulation_size = 4\ngenerations = 1\n",
+            )
+            err = self.run_error(capsys, ["run", str(cfg), "--out", str(tmp_path / "out")])
+            assert "'depth_weight'" in err
 
 
 SMALL_RUN = "n_qubits = 2\ndepth = 2\npopulation_size = 4\ngenerations = 1\n"
@@ -537,6 +543,11 @@ BAD_SETTINGS = {
         ["run.properties:5: bad value for 'target_seeds': seed -1 is negative"],
     ),
     "nan depth_weight": ("depth_weight = nan\n", ["depth_weight must be finite, got nan"]),
+    # max_depth is 2 * depth = 4: the penalty of a 4-deep circuit would overflow
+    "huge depth_weight": (
+        "depth_weight = 1e308\n",
+        ["depth_weight * max_depth must be finite, got 1e+308 * 4"],
+    ),
     "negative crossover_points": (
         "crossover_method = multi_point\ncrossover_points = -3\n",
         ["run.properties", "crossover_points must be >= 1"],
@@ -648,7 +659,8 @@ BAD_DOCUMENTS = {
 
 class TestMalformedInputs:
     """Each bad input ends with `error: ...` naming the file and line, or
-    the setting, and exit code 2, before any search circuit is drawn."""
+    the setting, and exit code 2, before any search circuit is drawn and
+    before `run` makes its output directory."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -667,6 +679,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if "--out" in argv:  # a file in its place is left as it was
+            assert not Path(argv[argv.index("--out") + 1]).is_dir()
         for fragment in fragments:
             assert fragment in err
         return err

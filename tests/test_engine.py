@@ -177,14 +177,18 @@ class TestEvolve:
                 scored.append(circuit)
                 return 0.5
 
-        requests = []  # (circuit, whether the memo held it)
-        request = engine._Evaluator.evaluate
+        # (circuit, whether the memo or an earlier request of its batch held it)
+        requests = []
+        request = engine._Evaluator.evaluate_all
 
-        def recording(self, circuit):
-            requests.append((circuit, circuit in self.memo))
-            return request(self, circuit)
+        def recording(self, circuits):
+            held = set(self.memo)
+            for circuit in circuits:
+                requests.append((circuit, circuit in held))
+                held.add(circuit)
+            return request(self, circuits)
 
-        monkeypatch.setattr(engine._Evaluator, "evaluate", recording)
+        monkeypatch.setattr(engine._Evaluator, "evaluate_all", recording)
         cfg = small_config(generations=3)
         evolve(cfg, Spy(), np.random.default_rng(0))
         # per-generation requests: pop_size init, then children each generation
@@ -436,16 +440,22 @@ BAD_RETURNS = [
 
 class ScriptedFitness(FitnessFunction):
     """Scores 0.5 until the `bad_at`-th call, which returns `bad`; a
-    BadReturn replaces that call's whole `score` return."""
+    BadReturn replaces that call's whole `score` return. `batches` holds the
+    lists passed to `score_all`."""
 
     name = "scripted"
 
     def __init__(self, bad, bad_at: int = 12):
         self.bad, self.bad_at, self.calls = bad, bad_at, 0
+        self.batches: list[list[Circuit]] = []
 
     def evaluate(self, circuit):
         self.calls += 1
         return self.bad if self.calls == self.bad_at else 0.5
+
+    def score_all(self, circuits):
+        self.batches.append(list(circuits))
+        return super().score_all(circuits)
 
     def score(self, circuit):
         value, kept = super().score(circuit)
@@ -463,13 +473,21 @@ class TestScoreChecks:
         "parents,survivors", [("tournament", "truncation"), ("roulette", "roulette")]
     )
     def test_rejected_in_evolve(self, bad, parents, survivors):
+        # as in the baseline: the message names the circuit of the bad_at-th
+        # call, and the rest of that call's batch is scored first
         cfg = small_config(parent_selection=parents, survivor_selection=survivors)
         fn = ScriptedFitness(bad)
         named = r"fitness 'scripted' \(ScriptedFitness\)"
-        message = rf"{named} {self.returned(bad)}, for the 2x\d+ circuit: "
-        with pytest.raises(QcevolveError, match=message):
+        with pytest.raises(QcevolveError) as raised:
             evolve(cfg, fn, np.random.default_rng(0))
-        assert fn.calls == fn.bad_at
+        scored = [c for batch in fn.batches for c in batch]
+        bad_circuit = scored[fn.bad_at - 1]
+        gates = " ".join(export_qasm(bad_circuit).splitlines()[3:])
+        shape = f"{bad_circuit.n_qubits}x{bad_circuit.depth}"
+        message = rf"{named} {self.returned(bad)}, for the {shape} circuit: {re.escape(gates)}$"
+        assert re.match(message, str(raised.value))
+        assert len(scored) - len(fn.batches[-1]) < fn.bad_at
+        assert fn.calls == len(scored)
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_rejected_in_baseline(self, bad):
@@ -497,12 +515,15 @@ class TestScoreChecks:
             def score_all(self, circuits):
                 return change(super().score_all(circuits))
 
+        # the ten circuits of generation 0 are distinct, so the GA's memo
+        # passes all ten too
         message = (
             rf"fitness 'entanglement' \(Miscounting\) returned {match} from "
             r"score_all, not a list of 10 results$"
         )
-        with pytest.raises(QcevolveError, match=message):
-            random_baseline(small_config(generations=0), Miscounting(), np.random.default_rng(0))
+        for search in (evolve, random_baseline):
+            with pytest.raises(QcevolveError, match=message):
+                search(small_config(generations=0), Miscounting(), np.random.default_rng(0))
 
     @staticmethod
     def returned(bad):
@@ -600,18 +621,18 @@ class TestFitnessMemo:
         pruning point appends ("population", survivors, memo after pruning)
         to, and a one-item list holding the largest memo size seen."""
         events, sizes = [], [0]
-        request, keep_only = engine._Evaluator.evaluate, engine._Evaluator.keep_only
+        request, keep_only = engine._Evaluator.evaluate_all, engine._Evaluator.keep_only
 
-        def evaluate(self, circuit):
-            ind = request(self, circuit)
+        def evaluate_all(self, circuits):
+            members = request(self, circuits)
             sizes[0] = max(sizes[0], len(self.memo))
-            return ind
+            return members
 
         def prune(self, members):
             keep_only(self, members)
             events.append(("population", members, dict(self.memo)))
 
-        monkeypatch.setattr(engine._Evaluator, "evaluate", evaluate)
+        monkeypatch.setattr(engine._Evaluator, "evaluate_all", evaluate_all)
         monkeypatch.setattr(engine._Evaluator, "keep_only", prune)
         return events, sizes
 
@@ -654,22 +675,27 @@ class TestFitnessMemo:
     def test_memo_contract_under_random_configs(self, cfg, seed):
         """Under any rules and widths, the memo scores no circuit it holds,
         holds at most population_size + children_per_generation entries, and
-        changes nothing against scoring every request."""
+        changes nothing against scoring every request one at a time with
+        `score`, unstacked."""
         # a function-scoped fixture would be shared by every example
         with pytest.MonkeyPatch.context() as mp:
             events, sizes = self.record(mp)
 
             class Spy(EntanglementFitness):
-                def evaluate(self, circuit):
-                    events.append(("scored", circuit))
-                    return super().evaluate(circuit)
+                # records and keeps the stacked scoring, as evaluate would not
+                def score_all(self, circuits):
+                    events.extend(("scored", circuit) for circuit in circuits)
+                    return super().score_all(circuits)
 
             best, trace = evolve(cfg, Spy(), np.random.default_rng(seed))
         self.replay(events)
         resolved = cfg.resolved()
         assert sizes[0] <= resolved.population_size + resolved.children_per_generation
+        def score_each(self, circuits):
+            return [self._checked(c, self.fitness_fn.score(c)) for c in circuits]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine._Evaluator, "evaluate", engine._Evaluator.score)
+            mp.setattr(engine._Evaluator, "evaluate_all", score_each)
             every, every_trace = evolve(
                 cfg, EntanglementFitness(), np.random.default_rng(seed)
             )
@@ -677,6 +703,38 @@ class TestFitnessMemo:
             (r.best_fitness, r.mean_fitness) for r in trace
         ]
         assert every.circuit == best.circuit and every.fitness == best.fitness
+
+    @given(memo_configs(), st.integers(0, 2**32 - 1))
+    def test_one_score_all_call_per_generation(self, cfg, seed):
+        """Each generation's circuits reach the fitness in at most one
+        `score_all` call: on the distinct circuits the memo lacks, in the
+        order first requested, and in no call when it lacks none."""
+        requests, calls = [], []  # (circuits, memo keys before); score_all's lists
+
+        class Spy(EntanglementFitness):
+            def score_all(self, circuits):
+                calls.append(list(circuits))
+                return super().score_all(circuits)
+
+        request = engine._Evaluator.evaluate_all
+
+        def recording(self, circuits):
+            requests.append((list(circuits), set(self.memo)))
+            return request(self, circuits)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._Evaluator, "evaluate_all", recording)
+            evolve(cfg, Spy(), np.random.default_rng(seed))
+        assert len(requests) == cfg.generations + 1
+        expected = []
+        for circuits, held in requests:
+            misses = []
+            for circuit in circuits:
+                if circuit not in held and circuit not in misses:
+                    misses.append(circuit)
+            if misses:
+                expected.append(misses)
+        assert calls == expected
 
     @pytest.mark.parametrize("survivor", ["truncation", "roulette"])
     def test_only_survivors_entries_remain(self, survivor, monkeypatch):
@@ -701,14 +759,15 @@ class TestFitnessMemo:
                 return super().evaluate_trained(circuit)
 
         evaluator = engine._Evaluator(Spy(ds, train_steps=3))
-        first = evaluator.evaluate(untrained)
+        [first] = evaluator.evaluate_all([untrained])
         assert first.circuit != untrained
         # an input equal to a trained circuit is a new input: trained again
-        second = evaluator.evaluate(first.circuit)
+        [second] = evaluator.evaluate_all([first.circuit])
         assert second is not first
         assert inputs == [untrained, first.circuit]
         # an input equal to one already scored reuses its result
-        assert evaluator.evaluate(Circuit(2, untrained.grid)) is first
+        [again] = evaluator.evaluate_all([Circuit(2, untrained.grid)])
+        assert again is first
         assert len(inputs) == 2
 
     def test_circuit_from_score_is_kept_and_memo_keyed_by_input(self, monkeypatch):

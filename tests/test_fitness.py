@@ -51,6 +51,15 @@ class TestFidelityFitness:
         with pytest.raises(ConfigurationError, match="depth_weight must be finite"):
             FidelityFitness(simulate(bell_circuit()), depth_weight=float("nan"))
 
+    @pytest.mark.parametrize("weight", [1e308, -1e308])
+    def test_depth_penalty_that_overflows_rejected(self, weight):
+        # the penalty of a max_depth-deep circuit would be -inf or inf
+        c = Circuit(2, ((ID,), (ID,)))
+        with pytest.raises(ConfigurationError, match=r"^depth_weight \* max_depth must be finite"):
+            FidelityFitness(simulate(c), depth_weight=weight, max_depth=4)
+        fn = FidelityFitness(simulate(c), depth_weight=weight, max_depth=1)
+        assert fn.evaluate(c) == 1.0 - weight
+
     def test_qubit_mismatch(self):
         with pytest.raises(ConfigurationError):
             FidelityFitness(np.array([1, 0], dtype=complex)).evaluate(bell_circuit())
