@@ -156,9 +156,10 @@ def _crossover(
     return crossover_single_point(a, b, rng)
 
 
-# random_baseline draws and scores at most this many circuits at a time:
-# enough for the stacked simulation to gain at every width it serves, and
-# bounded, so a long run's draws are not all held at once.
+# random_baseline draws and scores at most this many circuits at a time, and
+# `simulate_all` runs each such list of one shape as one stack: enough rows to
+# gain at every width it stacks, and bounded, so a long run's draws are not
+# all held at once. The GA's stacks are one generation's memo misses.
 _BASELINE_CHUNK = 256
 
 

@@ -6,7 +6,7 @@ axis n-1-k.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache
 
 import numpy as np
@@ -81,9 +81,10 @@ _ONE_CALL_AMPLITUDES = 1 << 13
 def _apply_1q_fast(
     state: np.ndarray, matrix: np.ndarray, q: int, one_call: bool
 ) -> np.ndarray:
-    # little-endian: qubit q splits the flat index as (high, bit q, low);
-    # a batch axis folds into "high"
-    blocks = state.reshape(-1, 2, 1 << q)
+    # little-endian: qubit q splits the flat index as (high, bit q, low); a
+    # batch axis folds into "high", unless `matrix` is a (rows, 1, 2, 2)
+    # stack of one matrix per row (per-block layout only)
+    blocks = state.reshape(matrix.shape[:-3] + (-1, 2, 1 << q))
     if not one_call:
         return np.matmul(matrix, blocks).reshape(state.shape)
     # bit q's axis in front: one BLAS call instead of one per block
@@ -159,50 +160,41 @@ def simulate(circuit: Circuit) -> np.ndarray:
 
 
 # `simulate_all` stacks circuits of one shape on at most _STACK_MAX_QUBITS
-# qubits, at most _STACK_AMPLITUDES amplitudes per stack. On depth-20
-# circuits over the full gate set (2 vCPUs, AVX-512, one core), stacks of
-# 64 rows ran 2.2x (n = 2), 1.7x (n = 4), 1.5x (n = 6) and 1.2x (n = 8) as
-# fast as one circuit at a time, and stacks of 512 rows 2.5-2.7x (n <= 4)
-# and 1.8x (n = 6). At 7 and 8 qubits the gain stopped growing at 2**15
-# amplitudes (256 and 128 rows). From 9 qubits, where `run_gates` takes the
-# one-call layout, a stack ran at 0.7-1.0x. The limit must stay below 9 in
-# any case: a stack keeps the bits of the per-block layout only.
+# qubits. On depth-20 circuits over the full gate set (2 vCPUs, AVX-512,
+# one core), stacks of 64 rows ran 2.2x (n = 2), 1.7x (n = 4), 1.5x
+# (n = 6) and 1.2x (n = 8) as fast as one circuit at a time, and stacks of
+# 512 rows 2.5-2.7x (n <= 4) and 1.8x (n = 6); at 6-8 qubits and up to
+# 1 024 rows, cutting a stack into pieces of 2**15 amplitudes saved at most
+# a few per cent. From 9 qubits, where `run_gates` takes the one-call
+# layout, a stack ran at 0.7-1.0x. The limit must stay below 9 in any
+# case: a stack keeps the bits of the per-block layout only.
 _STACK_MAX_QUBITS = 8
-_STACK_AMPLITUDES = 1 << 15
 
 
-def simulate_all(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
+def simulate_all(circuits: Sequence[Circuit]) -> Iterable[np.ndarray]:
     """`simulate` of each circuit, in order, each state with the bits
     `simulate` gives it. Every circuit is validated before any is run.
-    Circuits of one shape on at most _STACK_MAX_QUBITS qubits then run from
-    the zero state as (rows, 2**n) stacks, others one at a time, each when
-    its first state is read: a reader that drops each state before reading
-    the next holds one stack or one state at a time."""
+    Two or more circuits of one shape on at most _STACK_MAX_QUBITS qubits
+    then run from the zero state as one (rows, 2**n) stack, the caller's
+    whole list. Any other list (one circuit, mixed shapes, or wider) runs
+    one circuit at a time, each when its state is read: a reader that drops
+    each state before reading the next holds one state at a time."""
     for circuit in circuits:
         validate(circuit)
-    return _states(circuits)
-
-
-def _states(circuits: Sequence[Circuit]) -> Iterator[np.ndarray]:
-    if len({(c.n_qubits, c.depth) for c in circuits}) != 1 or (
-        circuits[0].n_qubits > _STACK_MAX_QUBITS
-    ):
-        for circuit in circuits:
-            yield run_gates(zero_state(circuit.n_qubits), circuit)
-        return
-    rows = _STACK_AMPLITUDES >> circuits[0].n_qubits
-    for start in range(0, len(circuits), rows):
-        yield from _run_stack(circuits[start : start + rows])
+    if len(circuits) > 1 and len({(c.n_qubits, c.depth) for c in circuits}) == 1:
+        if circuits[0].n_qubits <= _STACK_MAX_QUBITS:
+            return _run_stack(circuits)
+    return (run_gates(zero_state(c.n_qubits), c) for c in circuits)
 
 
 def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
     """The states of validated circuits of one shape, row i for circuit i,
-    cell by cell in `run_gates` order: at each cell, one `np.matmul` of the
-    rows' matrices over the rows holding a one-qubit gate makes the BLAS
-    call per (2, 2**q) block that `_apply_1q_fast` makes for a row alone,
-    and each (kind, partner) group of rows holding a control half goes
-    through its kernel. Rows holding an identity or a target half are not
-    touched: multiplying by I would turn -0.0 into +0.0."""
+    cell by cell in `run_gates` order: at each cell, the rows holding a
+    one-qubit gate go through `_apply_1q_fast` with one matrix per row, which
+    makes the BLAS call per (2, 2**q) block it makes for a row alone, and
+    each (kind, partner) group of rows holding a control half goes through
+    its kernel. Rows holding an identity or a target half are not touched:
+    multiplying by I would turn -0.0 into +0.0."""
     n, depth = circuits[0].n_qubits, circuits[0].depth
     grids = [c.grid for c in circuits]
     state = np.zeros((len(grids), 1 << n), dtype=complex)
@@ -222,10 +214,8 @@ def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
                         _FIXED_MATRICES[kind] if theta is None else gate_matrix(kind, theta)
                     )
             if single:
-                blocks = state[single].reshape(len(single), -1, 2, 1 << q)
-                state[single] = np.matmul(np.array(matrices)[:, None], blocks).reshape(
-                    len(single), -1
-                )
+                stacked = np.array(matrices)[:, None]
+                state[single] = _apply_1q_fast(state[single], stacked, q, False)
             for (kind, partner), group in pairs.items():
                 kernel = _apply_cx_fast if kind is _CX else _apply_cz_fast
                 state[group] = kernel(state[group], q, partner, n)

@@ -671,6 +671,7 @@ class TestFitnessMemo:
                 held = {ind.circuit for ind in rest[0]}
         return n_scored
 
+    @pytest.mark.per_kernel
     @given(memo_configs(), st.integers(0, 2**32 - 1))
     def test_memo_contract_under_random_configs(self, cfg, seed):
         """Under any rules and widths, the memo scores no circuit it holds,

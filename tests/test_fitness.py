@@ -119,6 +119,7 @@ class TestEntanglementFitness:
                 differ.append(c)
         return differ
 
+    @pytest.mark.per_kernel
     def test_stacked_score_has_the_bits_of_the_per_qubit_loop(self):
         def former_entropy(rho):
             lam = np.linalg.eigvalsh(rho)
@@ -127,6 +128,7 @@ class TestEntanglementFitness:
 
         assert self.differing_scores(former_entropy) == []
 
+    @pytest.mark.per_kernel
     def test_bit_comparison_sees_a_mutated_reduction(self):
         def unclamped_entropy(rho):
             lam = np.linalg.eigvalsh(rho)

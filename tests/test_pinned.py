@@ -35,6 +35,8 @@ from qcevolve.operators import (
 )
 from qcevolve.simulator import run_gates, simulate
 
+pytestmark = pytest.mark.per_kernel
+
 GATE_SETS = {
     "full": FULL_GATE_SET,
     "restricted": RESTRICTED_GATE_SET,

@@ -264,25 +264,24 @@ def _pinned_cells(n: int, depth: int) -> Circuit:
     return Circuit(n, (top, second) + rest)
 
 
+@pytest.mark.per_kernel
 @given(
     st.integers(1, 8),
     st.integers(1, 12),
     st.sampled_from([FULL_GATE_SET, RESTRICTED_GATE_SET]),
-    st.integers(1, 20),
-    st.integers(1, 8),
+    st.integers(0, 20),
     st.data(),
 )
-def test_stacked_simulation_equals_simulate(n, depth, gate_set, rows, cap, data):
-    """Every row of the stacks `simulate_all` runs has the bits of
-    `simulate` on its circuit alone, on stacks cut at `cap` rows: a chunk
-    holds from 1 to 20 circuits, so stacks fall on both sides of the cap."""
+def test_stacked_simulation_equals_simulate(n, depth, gate_set, rows, data):
+    """Every state `simulate_all` gives for a list of 1 to 21 circuits of
+    one shape has the bits of `simulate` on its circuit alone. A list of two
+    or more runs as one stack; a list of one runs through `run_gates`."""
     rng = np.random.default_rng(data.draw(seeds))
     circuits = [random_circuit(n, depth, gate_set, rng) for _ in range(rows)]
     circuits.insert(data.draw(st.integers(0, rows)), _pinned_cells(n, depth))
-    # run_gates is the one-at-a-time path: it must not run here
-    with mock.patch.object(simulator, "_STACK_AMPLITUDES", cap << n), mock.patch.object(
-        simulator, "run_gates", side_effect=AssertionError("not stacked")
-    ):
+    # the path the list must not take fails if it runs
+    other = "run_gates" if len(circuits) > 1 else "_run_stack"
+    with mock.patch.object(simulator, other, side_effect=AssertionError(f"ran {other}")):
         states = list(simulator.simulate_all(circuits))
     assert len(states) == len(circuits)
     for state, circuit in zip(states, circuits):
@@ -332,6 +331,7 @@ def _reference_training(fitness: MLFitness, circuit: Circuit):
     return accuracy, trained, thetas
 
 
+@pytest.mark.per_kernel
 @given(st.integers(1, 12), st.integers(1, 64), st.integers(1, 300), seeds)
 def test_stacked_readout_equals_per_row_calls(n, rows, samples, seed):
     rng = np.random.default_rng(seed)
@@ -356,6 +356,7 @@ ml_gate_sets = st.builds(
 )
 
 
+@pytest.mark.per_kernel
 @given(
     st.integers(1, 4),
     st.integers(1, 5),

@@ -141,11 +141,28 @@ class TestSimulate:
             assert np.abs(simulate(c) - simulate_oracle(c)).max() < 1e-9
 
     @pytest.mark.parametrize(
-        "shapes", [[(3, 4), (3, 5), (2, 4)], [(9, 3)] * 3], ids=["mixed", "wide"]
+        "shapes",
+        [[(3, 4), (3, 5), (2, 4)], [(9, 3)] * 3, [(3, 4)]],
+        ids=["mixed", "wide", "one"],
     )
-    def test_simulate_all_runs_others_one_at_a_time(self, shapes, rng):
+    def test_simulate_all_runs_others_one_at_a_time(self, shapes, rng, monkeypatch):
         circuits = [random_circuit(n, d, FULL_GATE_SET, rng) for n, d in shapes]
+        monkeypatch.setattr(simulator, "_run_stack", None)
         states = simulate_all(circuits)
+        assert [s.tobytes() for s in states] == [simulate(c).tobytes() for c in circuits]
+
+    def test_simulate_all_runs_one_stack_per_list(self, rng, monkeypatch):
+        circuits = [random_circuit(8, 2, FULL_GATE_SET, rng) for _ in range(200)]
+        calls = []
+        run_stack = simulator._run_stack
+
+        def counted(stack):
+            calls.append(len(stack))
+            return run_stack(stack)
+
+        monkeypatch.setattr(simulator, "_run_stack", counted)
+        states = list(simulate_all(circuits))
+        assert calls == [200]
         assert [s.tobytes() for s in states] == [simulate(c).tobytes() for c in circuits]
 
     def test_simulate_all_validates_every_circuit_first(self, rng, monkeypatch):
@@ -187,6 +204,7 @@ class TestRunGatesBatch:
         assert np.array_equal(out, simulate(c))
 
 
+@pytest.mark.per_kernel
 class TestOneCallLayout:
     """On wide states `run_gates` runs a one-qubit gate on bit q >= 2 as one
     BLAS call over all (2, 2**q) blocks. Every row must keep the bits of one
@@ -240,6 +258,7 @@ def reference_run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return out
 
 
+@pytest.mark.per_kernel
 class TestRunGatesBitForBit:
     """The gate loop gives the bits of the loop written out above, on
     whichever OpenBLAS kernel runs the test (below 9 qubits no one-qubit
@@ -290,6 +309,7 @@ class TestFidelity:
             fidelity(np.array([1, 0]), np.array([1, 0, 0, 0]))
 
 
+@pytest.mark.per_kernel
 class TestPartialTrace:
     def test_product_state(self):
         rho = partial_trace(zero_state(2), {0})
@@ -313,6 +333,7 @@ class TestPartialTrace:
             partial_trace(zero_state(2), {0, 1})
 
 
+@pytest.mark.per_kernel
 class TestVonNeumannEntropy:
     def test_pure_marginal(self):
         assert von_neumann_entropy(partial_trace(zero_state(2), {0})) == 0.0
@@ -382,6 +403,7 @@ class TestVonNeumannEntropy:
             assert s1 == pytest.approx(s2, abs=1e-8)
 
 
+@pytest.mark.per_kernel
 class TestStackContracts:
     """`partial_trace` takes a (batch, 2**n) stack and `von_neumann_entropy`
     a (..., d, d) stack; each row or matrix gives the bytes it gives alone."""
