@@ -77,6 +77,27 @@ def from_columns(n_qubits: int, columns: list[tuple[Gate, ...]]) -> Circuit:
     return Circuit(n_qubits, tuple(zip(*columns)))
 
 
+_CONTROL, _TARGET = Role.CONTROL, Role.TARGET
+
+
+def _intact(cells: Sequence[Gate], row: int) -> bool:
+    """Whether the two-qubit cell cells[row] and its partner's cell name each
+    other, hold one kind and hold the control and the target role."""
+    g = cells[row]
+    p = g.partner
+    if p is None or not 0 <= p < len(cells) or p == row:
+        return False
+    other = cells[p]
+    return (
+        other.kind is g.kind
+        and other.partner == row
+        and (
+            (g.role is _CONTROL and other.role is _TARGET)
+            or (g.role is _TARGET and other.role is _CONTROL)
+        )
+    )
+
+
 def _pair_problem(
     columns: Sequence[Sequence[Gate]], row: int, col: int
 ) -> str | None:
@@ -84,20 +105,13 @@ def _pair_problem(
     partner, or None when the pair is intact (or the cell is one-qubit)."""
     cells = columns[col]
     g = cells[row]
-    if g.kind.arity != 2:
+    if g.kind.arity != 2 or _intact(cells, row):
         return None
     if g.role not in (Role.CONTROL, Role.TARGET):
         return "two-qubit gate needs a control/target role"
     if g.partner is None or not (0 <= g.partner < len(cells)) or g.partner == row:
         return "invalid partner row"
-    p = cells[g.partner]
-    if (
-        p.kind is not g.kind
-        or p.partner != row
-        or {p.role, g.role} != {Role.CONTROL, Role.TARGET}
-    ):
-        return f"partner cell ({g.partner}, {col}) does not match"
-    return None
+    return f"partner cell ({g.partner}, {col}) does not match"
 
 
 def validate(circuit: Circuit) -> None:
@@ -356,17 +370,26 @@ _REPAIR_TABLE = ((GateKind.ID, GateKind.X, GateKind.H),) * 2
 def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
     """Complete dangling halves of two-qubit gates.
 
-    A dangling cell keeps its role; its new partner is the nearest identity
-    cell in the same column (ties toward the lower row index), else a random
-    other row whose gate is overwritten. On a single-row grid the dangling
-    cell becomes a random one-qubit gate instead.
+    Columns are visited left to right and each column's rows from row 0,
+    on the cells as repaired so far. A two-qubit cell dangles unless its
+    partner is another row of the column whose cell holds the same kind,
+    names this row as its partner and has the other one of the control and
+    target roles. A dangling cell keeps its role (any other role becomes
+    control); its new partner, which takes the same kind and the other
+    role, is the nearest identity cell in the same column (ties toward the
+    lower row index), else the row drawn by `rng.integers(k)` from the k
+    other rows, in order, that hold no intact pair half; that row's gate is
+    overwritten. When no row is left (a single-row grid, or every other
+    row holds an intact pair half), the dangling cell becomes ID, X or H,
+    drawn by `rng.integers(3)` in that order. A valid circuit comes back
+    equal, and draws nothing.
     """
     n = circuit.n_qubits
     columns = [list(col) for col in zip(*circuit.grid)]
-    for c, cells in enumerate(columns):
+    for cells in columns:
         for r in range(n):
             g = cells[r]
-            if g.kind.arity == 1 or _pair_problem(columns, r, c) is None:
+            if g.kind.arity == 1 or _intact(cells, r):
                 continue
             if n == 1:
                 _draw_gate(cells, r, [], _REPAIR_TABLE, rng)
@@ -381,10 +404,7 @@ def repair(circuit: Circuit, rng: np.random.Generator) -> Circuit:
                     i
                     for i in range(n)
                     if i != r
-                    and (
-                        cells[i].kind.arity == 1
-                        or _pair_problem(columns, i, c) is not None
-                    )
+                    and (cells[i].kind.arity == 1 or not _intact(cells, i))
                 ]
                 if not others:
                     # every other row holds a valid pair: no partner exists

@@ -6,8 +6,9 @@ become selectable from the property file like the built-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from math import isfinite, pi
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class FitnessFunction:
     report of a bad result for an earlier one. The built-in fidelity and
     entanglement fitnesses simulate a list as stacks of states
     (`simulator.simulate_all`, which validates every circuit first), unless
-    a subclass overrides `evaluate` or `score`.
+    a subclass overrides `evaluate` or `score`; the entanglement fitness
+    sends the one-qubit marginals of the whole list to one
+    `von_neumann_entropy` call.
     """
 
     name = "abstract"
@@ -144,7 +147,7 @@ def _score_final_states(
 ) -> list[tuple[float, Circuit]]:
     """`score_all` of a built-in fitness whose `evaluate` checks the
     circuit's width, simulates it and scores the final state with
-    `_state_score`: the same steps, with the chunk's states from one
+    `_scores`: the same steps, with the list's states from one
     `simulate_all` call. An instance of a subclass that overrides `evaluate`
     or `score` is scored by its override, one circuit at a time. Both are
     looked up on the classes at each call: a wrapper set on the built-in
@@ -155,8 +158,7 @@ def _score_final_states(
     for circuit in circuits:
         n = circuit.n_qubits
         fn.check_qubit_bounds(n, n, n)
-    states = simulate_all(circuits)
-    return [(fn._state_score(c, state), c) for c, state in zip(circuits, states)]
+    return list(zip(fn._scores(circuits, simulate_all(circuits)), circuits))
 
 
 class FidelityFitness(FitnessFunction):
@@ -182,16 +184,20 @@ class FidelityFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
-        return self._state_score(circuit, simulate(circuit))
+        return self._scores([circuit], [simulate(circuit)])[0]
 
     def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
         return _score_final_states(self, FidelityFitness, circuits)
 
-    def _state_score(self, circuit: Circuit, state: np.ndarray) -> float:
-        score = fidelity(state, self.target)
-        if self.depth_weight:
-            score -= self.depth_weight * circuit.depth / self.max_depth
-        return score
+    def _scores(
+        self, circuits: list[Circuit], states: Iterable[np.ndarray]
+    ) -> list[float]:
+        """The score of each circuit from its final state, read in order
+        (with a depth_weight of 0, x - 0.0 is x)."""
+        return [
+            fidelity(state, self.target) - self.depth_weight * c.depth / self.max_depth
+            for c, state in zip(circuits, states)
+        ]
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int
@@ -204,6 +210,20 @@ class FidelityFitness(FitnessFunction):
             )
 
 
+def _one_qubit_marginals(states: np.ndarray) -> np.ndarray:
+    """The (k * n, 2, 2) one-qubit reduced density matrices of a (k, 2**n)
+    stack, row i * n + q for qubit q of state i."""
+    k, dim = states.shape
+    n = dim.bit_length() - 1
+    # row (i, q) is state i with qubit q moved to the top bit, so one
+    # partial trace over the top bit gives every one-qubit marginal
+    rows = np.empty((k, n, dim), dtype=states.dtype)
+    for q in range(n):
+        moved = states.reshape(k, -1, 2, 1 << q).transpose(0, 2, 1, 3)
+        rows[:, q].reshape(k, 2, -1, 1 << q)[...] = moved
+    return partial_trace(rows.reshape(k * n, dim), {n - 1})
+
+
 class EntanglementFitness(FitnessFunction):
     """Mean single-qubit marginal entropy; 1.0 for Bell/GHZ-like states."""
 
@@ -212,20 +232,28 @@ class EntanglementFitness(FitnessFunction):
     def evaluate(self, circuit: Circuit) -> float:
         n = circuit.n_qubits
         self.check_qubit_bounds(n, n, n)
-        return self._state_score(circuit, simulate(circuit))
+        return self._scores([circuit], simulate(circuit)[None])[0]
 
     def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
         return _score_final_states(self, EntanglementFitness, circuits)
 
-    def _state_score(self, circuit: Circuit, state: np.ndarray) -> float:
-        n = circuit.n_qubits
-        # row k is the state with qubit k moved to the top bit, so one
-        # partial trace over the top bit gives every one-qubit marginal
-        rows = np.empty((n, len(state)), dtype=state.dtype)
-        for k in range(n):
-            moved = state.reshape(-1, 2, 1 << k).transpose(1, 0, 2)
-            rows[k].reshape(2, -1, 1 << k)[...] = moved
-        return float(np.mean(von_neumann_entropy(partial_trace(rows, {n - 1}))))
+    def _scores(
+        self, circuits: list[Circuit], states: Iterable[np.ndarray]
+    ) -> list[float]:
+        """The mean marginal entropy of each circuit's final state: the
+        marginals of a stack in one call, of any other states one state at
+        a time, and the entropies of the whole list in one call. Each
+        entropy and each circuit's mean over its own n entropies has the
+        bits it has alone."""
+        if isinstance(states, np.ndarray):
+            marginals = [_one_qubit_marginals(states)]
+        else:
+            marginals = [_one_qubit_marginals(state[None]) for state in states]
+        if not marginals:
+            return []
+        entropies = von_neumann_entropy(np.concatenate(marginals))
+        ends = pairwise(accumulate((c.n_qubits for c in circuits), initial=0))
+        return [float(np.mean(entropies[start:stop])) for start, stop in ends]
 
     def check_qubit_bounds(
         self, min_qubits: int, n_qubits: int, max_qubits: int

@@ -1,9 +1,10 @@
-"""Independent brute-force oracles used to cross-check the simulator and
-the statevector files.
+"""Independent brute-force oracles used to cross-check the simulator,
+circuit repair and the statevector files.
 
 The simulator oracles build explicit full-dimension matrices by index
 arithmetic and never go through the package's gate-application path; the
-file oracles format and parse one amplitude at a time.
+repair oracle follows `repair`'s docstring rule by rule with its own pair
+test; the file oracles format and parse one amplitude at a time.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qcevolve.circuit import Circuit, Role
+from qcevolve.circuit import Circuit, Gate, Role
 from qcevolve.gates import GateKind, gate_matrix
 
 
@@ -88,6 +89,43 @@ def partial_trace_oracle(state: np.ndarray, keep: list[int]) -> np.ndarray:
             for t in range(2 ** len(out)):
                 rho[a, b] += rho_full[global_index(a, t), global_index(b, t)]
     return rho
+
+
+def repair_oracle(circuit: Circuit, rng: np.random.Generator) -> Circuit:
+    """`repair` as its docstring states it, on a row-major copy of the grid."""
+    n = circuit.n_qubits
+    grid = [list(row) for row in circuit.grid]
+    roles = {Role.CONTROL, Role.TARGET}
+
+    def intact(r: int, c: int) -> bool:
+        g = grid[r][c]
+        if g.partner not in range(n) or g.partner == r:
+            return False
+        other = grid[g.partner][c]
+        return other.kind is g.kind and other.partner == r and {g.role, other.role} == roles
+
+    for c in range(circuit.depth):
+        for r in range(n):
+            g = grid[r][c]
+            if g.kind.arity != 2 or intact(r, c):
+                continue
+            role = g.role if g.role in roles else Role.CONTROL
+            (other_role,) = roles - {role}
+            identities = [i for i in range(n) if i != r and grid[i][c].kind is GateKind.ID]
+            if identities:
+                partner = min(identities, key=lambda i: (abs(i - r), i))
+            else:
+                rows = [
+                    i for i in range(n)
+                    if i != r and not (grid[i][c].kind.arity == 2 and intact(i, c))
+                ]
+                if not rows:
+                    grid[r][c] = Gate((GateKind.ID, GateKind.X, GateKind.H)[rng.integers(3)])
+                    continue
+                partner = rows[rng.integers(len(rows))]
+            grid[r][c] = Gate(g.kind, role, partner=partner)
+            grid[partner][c] = Gate(g.kind, other_role, partner=r)
+    return Circuit(n, tuple(map(tuple, grid)))
 
 
 def statevector_text_oracle(state: np.ndarray) -> str:

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bell_circuit
+from oracles import repair_oracle
 
 from qcevolve.circuit import (
     Circuit,
@@ -87,6 +90,14 @@ class TestPadTo:
             assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
+# any nonempty gate set; a one-row circuit needs a one-qubit kind
+shaped_sets = st.tuples(
+    st.sets(st.sampled_from(list(GateKind)), min_size=1).map(frozenset),
+    st.integers(1, 6),
+    st.integers(1, 12),
+).filter(lambda t: t[1] > 1 or any(k.arity == 1 for k in t[0]))
+
+
 class TestRepair:
     def test_clean_circuit_unchanged(self, rng):
         c = random_circuit(3, 5, FULL_GATE_SET, rng)
@@ -126,6 +137,39 @@ class TestRepair:
             broken = Circuit(3, tuple(tuple(row) for row in grid))
             once = repair(broken, rng)
             assert repair(once, rng) == once
+
+    @given(shaped_sets, st.integers(0, 2**32 - 1))
+    def test_valid_circuit_returned_equal_without_draws(self, drawn, seed):
+        gate_set, n, depth = drawn
+        rng = np.random.default_rng(seed)
+        c = random_circuit(n, depth, gate_set, rng)
+        before = rng.bit_generator.state
+        assert repair(c, rng) == c
+        assert rng.bit_generator.state == before
+
+    @given(shaped_sets, shaped_sets, st.integers(0, 2**32 - 1), st.data())
+    def test_quadrant_swap_repaired_as_the_docstring_says(self, a_drawn, b_drawn, seed, data):
+        """A blockwise crossover's swapped top-left quadrant breaks the
+        pairs that span its row cut; the repaired circuit and the draws
+        taken match the oracle."""
+        (set_a, n, depth), (set_b, _, _) = a_drawn, b_drawn
+        if n == 1:
+            set_b = set_a  # a one-row circuit needs a one-qubit kind
+        rng = np.random.default_rng(seed)
+        a = random_circuit(n, depth, set_a, rng)
+        b = random_circuit(n, depth, set_b, rng)
+        rows = data.draw(st.integers(1, n))
+        cols = data.draw(st.integers(1, depth))
+        grid = [
+            b.grid[r][:cols] + a.grid[r][cols:] if r < rows else a.grid[r]
+            for r in range(n)
+        ]
+        broken = Circuit(n, tuple(grid))
+        got_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fixed = repair(broken, got_rng)
+        assert fixed == repair_oracle(broken, oracle_rng)
+        assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+        validate(fixed)
 
 
 class TestSerialization:

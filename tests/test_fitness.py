@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bell_circuit, ghz3_circuit
 
@@ -18,7 +20,7 @@ from qcevolve.fitness import (
     load_dataset,
     register_fitness,
 )
-from qcevolve.gates import FULL_GATE_SET, GateKind
+from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind
 from qcevolve.simulator import partial_trace, run_gates, simulate
 
 ID = Gate(GateKind.ID)
@@ -136,6 +138,38 @@ class TestEntanglementFitness:
 
         with np.errstate(divide="ignore", invalid="ignore"):
             assert self.differing_scores(unclamped_entropy) != []
+
+    @pytest.mark.per_kernel
+    @given(
+        st.sampled_from(["mixed", "one shape", "one", "empty"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_list_scores_have_the_bits_of_evaluate(self, kind, seed, data):
+        """`score_all` keeps each circuit and gives it the bits of
+        `evaluate`, with one entropy call for the whole list: a mixed-shape
+        list runs one state at a time, a one-shape list as one stack."""
+        shapes = st.tuples(st.integers(2, 8), st.integers(1, 16))
+        size = {"mixed": 12, "one shape": 12, "one": 1, "empty": 0}[kind]
+        size = data.draw(st.integers(min(size, 2), size))
+        shape = data.draw(shapes)
+        rng = np.random.default_rng(seed)
+        circuits = []
+        for _ in range(size):
+            if kind == "mixed":
+                shape = data.draw(shapes)
+            gate_set = data.draw(st.sampled_from([FULL_GATE_SET, RESTRICTED_GATE_SET]))
+            circuits.append(random_circuit(*shape, gate_set, rng))
+        if kind == "mixed":
+            # duplicates, as the same object and as an equal one
+            again = data.draw(st.lists(st.sampled_from(circuits), max_size=3))
+            circuits += again + [Circuit(c.n_qubits, c.grid) for c in again]
+        fn = EntanglementFitness()
+        results = fn.score_all(circuits)
+        assert len(results) == len(circuits)
+        for (score, kept), c in zip(results, circuits):
+            assert kept is c
+            assert np.float64(score).tobytes() == np.float64(fn.evaluate(c)).tobytes()
 
 
 def separable_dataset():
@@ -281,6 +315,19 @@ class TestMLFitness:
         plain = MLFitness(ds, train_steps=3, lamarckian=False).score(c)
         assert plain[0] == trained[0]
         assert plain[1] is c
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        FidelityFitness(np.array([1, 0], dtype=complex)),
+        EntanglementFitness(),
+        MLFitness(separable_dataset()),
+    ],
+    ids=["fidelity", "entanglement", "ml"],
+)
+def test_empty_list_scores_empty(fn):
+    assert fn.score_all([]) == []
 
 
 class TestDataset:
