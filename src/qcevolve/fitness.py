@@ -6,7 +6,7 @@ become selectable from the property file like the built-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, takewhile
 from math import isfinite, pi
 from typing import Callable, Iterable
 
@@ -20,7 +20,7 @@ from .simulator import (
     fidelity,
     n_qubits_of,
     partial_trace,
-    simulate,
+    simulate,  # not called here; gabench/tracing.py wraps it as fitness.simulate
     simulate_all,
     von_neumann_entropy,
     zero_state,
@@ -51,11 +51,13 @@ class FitnessFunction:
     generations. The results are checked once the call returns, so an
     exception raised for a later circuit of the list comes before the
     report of a bad result for an earlier one. The built-in fidelity and
-    entanglement fitnesses simulate a list as stacks of states
-    (`simulator.simulate_all`, which validates every circuit first), unless
-    a subclass overrides `evaluate` or `score`; the entanglement fitness
-    sends the one-qubit marginals of the whole list to one
-    `von_neumann_entropy` call.
+    entanglement fitnesses score a list with one `simulator.simulate_all`
+    call, which validates every circuit first and stacks a list of one
+    shape, and `evaluate` as a list of one; the entanglement fitness sends
+    the list's one-qubit marginals to one `von_neumann_entropy` call. A
+    subclass that defines `evaluate` or `score` below a built-in is scored
+    by its override, one circuit at a time; a wrapper set on the built-in
+    class itself keeps it on the list path.
     """
 
     name = "abstract"
@@ -89,6 +91,11 @@ class Dataset:
             raise ConfigurationError("dataset must be a nonempty 2D feature array")
         if not np.isfinite(self.features).all():
             raise ConfigurationError("dataset features must be finite")
+        if self.labels.ndim != 1:
+            raise ConfigurationError(
+                "dataset labels must be one value per sample, shape "
+                f"({len(self.features)},), got shape {self.labels.shape}"
+            )
         if len(self.labels) != len(self.features):
             raise ConfigurationError("dataset features and labels disagree in length")
         if not set(np.unique(self.labels)) <= {0, 1}:
@@ -142,26 +149,28 @@ def _check_finite(setting: str, value: float) -> None:
         raise ConfigurationError(f"{setting} must be finite, got {value}")
 
 
-def _score_final_states(
-    fn: FitnessFunction, builtin: type, circuits: list[Circuit]
-) -> list[tuple[float, Circuit]]:
-    """`score_all` of a built-in fitness whose `evaluate` checks the
-    circuit's width, simulates it and scores the final state with
-    `_scores`: the same steps, with the list's states from one
-    `simulate_all` call. An instance of a subclass that overrides `evaluate`
-    or `score` is scored by its override, one circuit at a time. Both are
-    looked up on the classes at each call: a wrapper set on the built-in
-    class itself, as a tracer sets, keeps its instances stacked."""
-    cls = type(fn)
-    if cls.evaluate is not builtin.evaluate or cls.score is not FitnessFunction.score:
-        return FitnessFunction.score_all(fn, circuits)
-    for circuit in circuits:
-        n = circuit.n_qubits
-        fn.check_qubit_bounds(n, n, n)
-    return list(zip(fn._scores(circuits, simulate_all(circuits)), circuits))
+class _StateFitness(FitnessFunction):
+    """The list path of the built-in fidelity and entanglement fitnesses,
+    which score each circuit's final state with `_scores`. `score_all`
+    walks up the subclass chain as far as the built-in (the class just
+    below this one) for the subclass rule of `FitnessFunction`."""
+
+    def evaluate(self, circuit: Circuit) -> float:
+        return self._list_scores([circuit])[0]
+
+    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
+        below = takewhile(lambda c: _StateFitness not in c.__bases__, type(self).__mro__)
+        if any({"evaluate", "score"} & vars(c).keys() for c in below):
+            return super().score_all(circuits)
+        return list(zip(self._list_scores(circuits), circuits))
+
+    def _list_scores(self, circuits: list[Circuit]) -> list[float]:
+        for n in dict.fromkeys(c.n_qubits for c in circuits):
+            self.check_qubit_bounds(n, n, n)
+        return self._scores(circuits, simulate_all(circuits))
 
 
-class FidelityFitness(FitnessFunction):
+class FidelityFitness(_StateFitness):
     """Fidelity to `target`, minus `depth_weight * depth / max_depth`."""
 
     name = "fidelity"
@@ -180,14 +189,6 @@ class FidelityFitness(FitnessFunction):
         self.target = target
         self.depth_weight = depth_weight
         self.max_depth = max_depth
-
-    def evaluate(self, circuit: Circuit) -> float:
-        n = circuit.n_qubits
-        self.check_qubit_bounds(n, n, n)
-        return self._scores([circuit], [simulate(circuit)])[0]
-
-    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
-        return _score_final_states(self, FidelityFitness, circuits)
 
     def _scores(
         self, circuits: list[Circuit], states: Iterable[np.ndarray]
@@ -224,18 +225,10 @@ def _one_qubit_marginals(states: np.ndarray) -> np.ndarray:
     return partial_trace(rows.reshape(k * n, dim), {n - 1})
 
 
-class EntanglementFitness(FitnessFunction):
+class EntanglementFitness(_StateFitness):
     """Mean single-qubit marginal entropy; 1.0 for Bell/GHZ-like states."""
 
     name = "entanglement"
-
-    def evaluate(self, circuit: Circuit) -> float:
-        n = circuit.n_qubits
-        self.check_qubit_bounds(n, n, n)
-        return self._scores([circuit], simulate(circuit)[None])[0]
-
-    def score_all(self, circuits: list[Circuit]) -> list[tuple[float, Circuit]]:
-        return _score_final_states(self, EntanglementFitness, circuits)
 
     def _scores(
         self, circuits: list[Circuit], states: Iterable[np.ndarray]

@@ -66,9 +66,11 @@ def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.n
 # A one-qubit gate on bit q of a wide state runs as one BLAS call over the
 # whole state, instead of one call per (2, 2**q) block, when q >= 2, each
 # row holds at least 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and the state or
-# stack holds at most _ONE_CALL_AMPLITUDES. Both layouts give the same bits
-# on every OpenBLAS kernel tried; for q < 2 they do not, since the
-# per-block calls take other code paths (zgemv, and zgemm's small-N tail).
+# stack holds at most _ONE_CALL_AMPLITUDES; `_apply_1q_fast` applies this
+# rule itself, from q, the matrix's shape and the state's size. Both
+# layouts give the same bits on every OpenBLAS kernel tried; for q < 2
+# they do not, since the per-block calls take other code paths (zgemv, and
+# zgemm's small-N tail).
 # On a 13-qubit state (2 vCPUs, AVX-512) one call is faster from 64 blocks
 # (q <= 6) and slower at 32, where the two transposes cost more than the
 # calls they save. Beyond 2**13 amplitudes it is slower for most q: the
@@ -78,14 +80,17 @@ _ONE_CALL_MIN_BLOCKS_LOG2 = 6
 _ONE_CALL_AMPLITUDES = 1 << 13
 
 
-def _apply_1q_fast(
-    state: np.ndarray, matrix: np.ndarray, q: int, one_call: bool
-) -> np.ndarray:
+def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
     # little-endian: qubit q splits the flat index as (high, bit q, low); a
     # batch axis folds into "high", unless `matrix` is a (rows, 1, 2, 2)
-    # stack of one matrix per row (per-block layout only)
+    # stack of one matrix per row, which always takes the per-block layout
     blocks = state.reshape(matrix.shape[:-3] + (-1, 2, 1 << q))
-    if not one_call:
+    if (
+        q < 2
+        or state.shape[-1] >> (q + 1) < 1 << _ONE_CALL_MIN_BLOCKS_LOG2
+        or state.size > _ONE_CALL_AMPLITUDES
+        or matrix.ndim > 2
+    ):
         return np.matmul(matrix, blocks).reshape(state.shape)
     # bit q's axis in front: one BLAS call instead of one per block
     cols = np.ascontiguousarray(blocks.transpose(1, 0, 2))
@@ -104,8 +109,6 @@ def _run(state: np.ndarray, n: int, cells) -> np.ndarray:
     `cells` in order, skipping identities and target halves. The kernels
     stay functions: their temporaries must be freed before the next gate
     allocates, or a 13-qubit state takes page faults on every gate."""
-    one_call_below = n - _ONE_CALL_MIN_BLOCKS_LOG2
-    one_call_fits = state.size <= _ONE_CALL_AMPLITUDES
     for q, (kind, role, theta, partner) in cells:
         if kind is _ID or role is _TARGET:
             continue
@@ -115,8 +118,7 @@ def _run(state: np.ndarray, n: int, cells) -> np.ndarray:
             state = _apply_cz_fast(state, q, partner, n)
         else:
             matrix = _FIXED_MATRICES[kind] if theta is None else gate_matrix(kind, theta)
-            one_call = 2 <= q < one_call_below and one_call_fits
-            state = _apply_1q_fast(state, matrix, q, one_call)
+            state = _apply_1q_fast(state, matrix, q)
     return state
 
 
@@ -215,7 +217,7 @@ def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
                     )
             if single:
                 stacked = np.array(matrices)[:, None]
-                state[single] = _apply_1q_fast(state[single], stacked, q, False)
+                state[single] = _apply_1q_fast(state[single], stacked, q)
             for (kind, partner), group in pairs.items():
                 kernel = _apply_cx_fast if kind is _CX else _apply_cz_fast
                 state[group] = kernel(state[group], q, partner, n)

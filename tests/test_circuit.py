@@ -13,6 +13,7 @@ from conftest import bell_circuit
 from oracles import repair_oracle
 
 from qcevolve.circuit import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     Role,
@@ -46,6 +47,16 @@ class TestRandomCircuit:
     def test_two_qubit_only_set_needs_two_qubits(self, rng):
         with pytest.raises(ConfigurationError):
             random_circuit(1, 3, frozenset({GateKind.CX}), rng)
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+    def test_width_out_of_range(self, n, rng):
+        with pytest.raises(ConfigurationError, match=f"^n_qubits {n} out of range$"):
+            random_circuit(n, 3, FULL_GATE_SET, rng)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one(self, depth, rng):
+        with pytest.raises(ConfigurationError, match=f"^depth {depth} must be >= 1$"):
+            random_circuit(2, depth, FULL_GATE_SET, rng)
 
     def test_theta_in_init_range(self, rng):
         c = random_circuit(3, 30, frozenset({GateKind.RX, GateKind.RZ}), rng)
@@ -258,6 +269,20 @@ class TestValidate:
             validate(broken)
         assert str(exc.value) == message
         validate(repair(broken, rng))
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+    def test_width_out_of_range(self, n):
+        with pytest.raises(CircuitStructureError) as exc:
+            validate(Circuit(n, ((ID,),) * n))
+        assert str(exc.value) == f"n_qubits {n} out of range [1, {MAX_QUBITS}]"
+
+    def test_no_columns(self):
+        with pytest.raises(CircuitStructureError, match="^circuit has no columns$"):
+            validate(Circuit(2, ((), ())))
+
+    def test_ragged_grid(self):
+        with pytest.raises(CircuitStructureError, match="^ragged grid$"):
+            validate(Circuit(2, ((ID, ID), (ID,))))
 
     def test_row_count_must_match_n_qubits(self):
         with pytest.raises(CircuitStructureError, match="^3 rows for 2 qubits$"):

@@ -48,6 +48,12 @@ class TestParseConfig:
         assert spec.run_config.population_size == 100
         assert spec.n_repeats == 1
 
+    def test_line_without_equals_sign(self, tmp_path):
+        p = write_config(tmp_path, "fitness = entanglement\n# a comment\nn_qubits 2\n")
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(p)
+        assert str(exc.value) == f"{p}:3: expected 'key = value'"
+
     def test_restricted_gate_set(self, tmp_path):
         p = write_config(tmp_path, "gate_set = id,rz,sx,x,cx\n")
         spec = parse_config(p)
@@ -219,6 +225,12 @@ class TestConvergenceSvg:
 
     def baseline(self, values):
         return [v - 0.2 for v in values]
+
+    def test_no_runs_rejected(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="^no runs to plot$"):
+            emit_convergence_svg([], [], path)
+        assert not path.exists()
 
     def test_single_run_no_bands(self, tmp_path):
         path = tmp_path / "plot.svg"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bell_circuit, ghz3_circuit
 
+from qcevolve import fitness
 from qcevolve.circuit import Circuit, Gate, random_circuit
 from qcevolve.errors import ConfigurationError, QcevolveError
 from qcevolve.fitness import (
@@ -330,6 +331,84 @@ def test_empty_list_scores_empty(fn):
     assert fn.score_all([]) == []
 
 
+class TestStateFitnessSubclassRule:
+    """`score_all` of a built-in fidelity or entanglement fitness simulates
+    the list in one `simulate_all` call unless a class below the built-in
+    defines `evaluate` or `score`; a wrapper set on the built-in class
+    itself keeps the list path."""
+
+    BUILTINS = {
+        "fidelity": (FidelityFitness, lambda cls: cls(simulate(bell_circuit()))),
+        "entanglement": (EntanglementFitness, lambda cls: cls()),
+    }
+
+    @staticmethod
+    def subclass(builtin, kind):
+        if kind == "plain":
+            return builtin
+
+        class NoOverride(builtin):
+            pass
+
+        class Evaluated(builtin):
+            def evaluate(self, circuit):
+                return super().evaluate(circuit)
+
+        class Scored(builtin):
+            def score(self, circuit):
+                return super().score(circuit)
+
+        class BelowScored(Scored):
+            pass
+
+        kinds = {
+            "no override": NoOverride,
+            "evaluate": Evaluated,
+            "score": Scored,
+            "below score": BelowScored,
+        }
+        return kinds[kind]
+
+    @pytest.mark.parametrize(
+        "kind, stacked",
+        [
+            ("plain", True),
+            ("no override", True),
+            ("evaluate", False),
+            ("score", False),
+            ("below score", False),
+        ],
+    )
+    @pytest.mark.parametrize("builtin", sorted(BUILTINS))
+    def test_list_path_unless_overridden_below_the_builtin(
+        self, monkeypatch, builtin, kind, stacked, rng
+    ):
+        cls, make = self.BUILTINS[builtin]
+        circuits = [random_circuit(2, 4, FULL_GATE_SET, rng) for _ in range(4)]
+        expected = make(cls).score_all(circuits)
+        lists = []
+        real = fitness.simulate_all
+
+        def counted(listed):
+            lists.append(len(listed))
+            return real(listed)
+
+        wrapped = []
+        original = cls.evaluate
+
+        def wrapper(self, circuit):
+            wrapped.append(circuit)
+            return original(self, circuit)
+
+        monkeypatch.setattr(fitness, "simulate_all", counted)
+        monkeypatch.setattr(cls, "evaluate", wrapper)
+        assert make(self.subclass(cls, kind)).score_all(circuits) == expected
+        if stacked:
+            assert lists == [4] and wrapped == []
+        else:
+            assert lists == [1, 1, 1, 1] and wrapped == circuits
+
+
 class TestDataset:
     def test_load_csv(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -337,6 +416,29 @@ class TestDataset:
         ds = load_dataset(str(p))
         assert ds.features.shape == (2, 2)
         assert list(ds.labels) == [0, 1]
+
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((0, 2)), np.zeros((3, 1, 1))])
+    def test_bad_feature_shape(self, features):
+        message = "^dataset must be a nonempty 2D feature array$"
+        with pytest.raises(ConfigurationError, match=message):
+            Dataset(features, np.zeros(len(features), dtype=int))
+
+    def test_length_mismatch(self):
+        with pytest.raises(
+            ConfigurationError, match="^dataset features and labels disagree in length$"
+        ):
+            Dataset(np.zeros((3, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), ()])
+    def test_labels_must_be_one_value_per_sample(self, shape):
+        """A (4, 1) column of labels would broadcast against the (4,)
+        predictions, and the accuracy would compare every label with every
+        prediction."""
+        with pytest.raises(ConfigurationError) as exc:
+            Dataset(np.zeros((4, 2)), np.zeros(shape, dtype=int))
+        assert str(exc.value) == (
+            f"dataset labels must be one value per sample, shape (4,), got shape {shape}"
+        )
 
     def test_bad_labels(self):
         with pytest.raises(ConfigurationError):

@@ -87,6 +87,26 @@ class TestSelectTournament:
         assert t_mean > r_mean
 
 
+class TestSelectionContracts:
+    def test_empty_population(self, rng):
+        with pytest.raises(ValueError, match="^population is empty$"):
+            select_tournament([], 1, 2, rng)
+        with pytest.raises(ValueError, match="^population is empty$"):
+            select_roulette([], 1, rng)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one(self, count, rng):
+        pop = make_pop([1.0, 2.0], rng)
+        with pytest.raises(ValueError, match=f"^count {count} must be >= 1$"):
+            select_tournament(pop, count, 2, rng)
+        with pytest.raises(ValueError, match=f"^count {count} must be >= 1$"):
+            select_roulette(pop, count, rng)
+
+    def test_tournament_size_below_one(self, rng):
+        with pytest.raises(ValueError, match="^tournament_size 0 must be >= 1$"):
+            select_tournament(make_pop([1.0, 2.0], rng), 3, 0, rng)
+
+
 class TestSelectRoulette:
     def test_equal_weights_uniform(self, rng):
         pop = make_pop([1.0, 1.0, 1.0], rng)

@@ -9,7 +9,13 @@ from oracles import embed_unitary, partial_trace_oracle, simulate_oracle
 from qcevolve import simulator
 from qcevolve.circuit import Circuit, Gate, Role, random_circuit
 from qcevolve.errors import CircuitStructureError, ConfigurationError
-from qcevolve.gates import FULL_GATE_SET, RESTRICTED_GATE_SET, GateKind, gate_matrix
+from qcevolve.gates import (
+    FULL_GATE_SET,
+    RESTRICTED_GATE_SET,
+    GateKind,
+    gate_matrix,
+    parse_gate_set,
+)
 from qcevolve.simulator import (
     apply_gate,
     fidelity,
@@ -41,6 +47,22 @@ class TestZeroState:
     def test_out_of_range(self, n):
         with pytest.raises(ConfigurationError):
             zero_state(n)
+
+
+class TestParseGateSet:
+    def test_empty_tokens_are_skipped(self):
+        assert parse_gate_set(" RX,,ry, ") == {GateKind.RX, GateKind.RY}
+
+    def test_unknown_gate_named_with_the_valid_ones(self):
+        valid = ",".join(k.value for k in GateKind)
+        with pytest.raises(ConfigurationError) as exc:
+            parse_gate_set("rx,toffoli")
+        assert str(exc.value) == f"unknown gate 'toffoli' (valid: {valid})"
+
+    @pytest.mark.parametrize("names", ["", " , ,"])
+    def test_empty_set_rejected(self, names):
+        with pytest.raises(ConfigurationError, match="^gate set is empty$"):
+            parse_gate_set(names)
 
 
 class TestGateMatrix:
@@ -98,6 +120,17 @@ class TestApplyGate:
     def test_missing_angle_rejected(self):
         with pytest.raises(ValueError, match="requires a rotation angle"):
             apply_gate(zero_state(1), GateKind.RX, None, (0,))
+
+    @pytest.mark.parametrize(
+        "kind, targets, message",
+        [
+            (GateKind.X, (0, 1), "^x needs 1 targets, got 2$"),
+            (GateKind.CZ, (1,), "^cz needs 2 targets, got 1$"),
+        ],
+    )
+    def test_arity_mismatch_rejected(self, kind, targets, message):
+        with pytest.raises(ValueError, match=message):
+            apply_gate(zero_state(2), kind, None, targets)
 
     def test_matches_embedding_oracle(self, rng):
         for _ in range(50):
@@ -331,6 +364,12 @@ class TestPartialTrace:
             partial_trace(zero_state(2), set())
         with pytest.raises(ValueError):
             partial_trace(zero_state(2), {0, 1})
+
+    @pytest.mark.parametrize("keep", [{3}, {-1}, {0, 3}])
+    def test_keep_out_of_range(self, keep):
+        with pytest.raises(ValueError) as exc:
+            partial_trace(zero_state(3), keep)
+        assert str(exc.value) == f"keep {sorted(keep)} out of range for 3 qubits"
 
 
 @pytest.mark.per_kernel
