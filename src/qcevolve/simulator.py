@@ -26,6 +26,9 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def n_qubits_of(state: np.ndarray) -> int:
+    """The qubit count of one statevector (2**n,)."""
+    if np.ndim(state) != 1:
+        raise ValueError(f"expected one statevector (2**n,), got shape {np.shape(state)}")
     n = len(state).bit_length() - 1
     if n < 0 or 2**n != len(state):
         raise ValueError(f"statevector length {len(state)} is not a power of two")
@@ -63,40 +66,40 @@ def _apply_cz_fast(state: np.ndarray, control: int, target: int, n: int) -> np.n
     return psi.reshape(state.shape)
 
 
-# A one-qubit gate on bit q of a wide state runs as one BLAS call over the
-# whole state, instead of one call per (2, 2**q) block, when q >= 2, each
-# row holds at least 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and the state or
-# stack holds at most _ONE_CALL_AMPLITUDES; `_apply_1q_fast` applies this
-# rule itself, from q, the matrix's shape and the state's size. Both
-# layouts give the same bits on every OpenBLAS kernel tried; for q < 2
-# they do not, since the per-block calls take other code paths (zgemv, and
-# zgemm's small-N tail).
-# On a 13-qubit state (2 vCPUs, AVX-512) one call is faster from 64 blocks
-# (q <= 6) and slower at 32, where the two transposes cost more than the
-# calls they save. Beyond 2**13 amplitudes it is slower for most q: the
-# extra state-sized buffer costs page faults, and from 2**15 amplitudes
-# OpenBLAS splits the call across threads.
+# A one-qubit gate on bit q runs as one BLAS call per row, over all of the
+# row's (2, 2**q) blocks at once, when the row holds at least
+# 2**_ONE_CALL_MIN_BLOCKS_LOG2 blocks, and as one call per block otherwise.
+# The rule reads only the row's width and q, so a row gets the same bits
+# alone and at any position of any stack, with one matrix for every row or
+# one per row: a stack's one-call product is a batched np.matmul that makes
+# each row's call as the row alone makes it. For q >= 2 the two layouts
+# give the same bits on every OpenBLAS kernel tried; for q < 2 they do
+# not, since the per-block calls take zgemv and zgemm's small-N tail.
+# RX under one core (2 vCPUs, AVX-512), us per gate, per block / one call:
+# 64 blocks: 3.6 / 5.1 (7 qubits, q = 0), 16.9 / 5.6 (8, q = 1), 16.1 / 6.2
+# (9, q = 2), 24.0 / 24.9 (13, q = 6); 32 blocks: 17.9 / 23.7 (13, q = 7);
+# bits 0 and 1 of 13 qubits: 130 / 36 and 466 / 62. From 14 qubits the
+# state-sized buffers cost page faults, and one call is slower for q >= 4
+# (14 qubits: 113 / 145 at q = 4, 29 / 129 at q = 7) yet still faster for
+# q <= 3, where most of the time goes (857 / 199 at q = 1).
 _ONE_CALL_MIN_BLOCKS_LOG2 = 6
-_ONE_CALL_AMPLITUDES = 1 << 13
 
 
-def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    # little-endian: qubit q splits the flat index as (high, bit q, low); a
-    # batch axis folds into "high", unless `matrix` is a (rows, 1, 2, 2)
-    # stack of one matrix per row, which always takes the per-block layout
-    blocks = state.reshape(matrix.shape[:-3] + (-1, 2, 1 << q))
-    if (
-        q < 2
-        or state.shape[-1] >> (q + 1) < 1 << _ONE_CALL_MIN_BLOCKS_LOG2
-        or state.size > _ONE_CALL_AMPLITUDES
-        or matrix.ndim > 2
-    ):
+def _apply_1q_fast(state: np.ndarray, matrix: np.ndarray, q: int, n: int) -> np.ndarray:
+    """`matrix` (2, 2) on bit q of every row of n qubits, or a (rows, 1, 2, 2)
+    stack of one matrix per row of a (rows, 2**n) state stack."""
+    # little-endian: qubit q splits each row's index as (high, bit q, low);
+    # a batch axis folds into "high" unless `matrix` holds one per row
+    if n - q - 1 < _ONE_CALL_MIN_BLOCKS_LOG2:  # 2**(n-q-1) blocks per row
+        blocks = state.reshape(matrix.shape[:-3] + (-1, 2, 1 << q))
         return np.matmul(matrix, blocks).reshape(state.shape)
-    # bit q's axis in front: one BLAS call instead of one per block
-    cols = np.ascontiguousarray(blocks.transpose(1, 0, 2))
-    prod = (matrix @ cols.reshape(2, -1)).reshape(cols.shape)
+    # bit q's axis in front of each row's blocks: one (2, 2**(n-1)) block
+    # per row, so one BLAS call per row
+    blocks = state.reshape(state.shape[:-1] + (-1, 2, 1 << q))
+    cols = np.ascontiguousarray(np.swapaxes(blocks, -3, -2))
+    prod = np.matmul(matrix, cols.reshape(state.shape[:-1] + (1, 2, -1)))
     new = cols.reshape(blocks.shape)  # cols' buffer, back in block order
-    new.transpose(1, 0, 2)[...] = prod
+    np.swapaxes(new, -3, -2)[...] = prod.reshape(cols.shape)
     return new.reshape(state.shape)
 
 
@@ -118,7 +121,7 @@ def _run(state: np.ndarray, n: int, cells) -> np.ndarray:
             state = _apply_cz_fast(state, q, partner, n)
         else:
             matrix = _FIXED_MATRICES[kind] if theta is None else gate_matrix(kind, theta)
-            state = _apply_1q_fast(state, matrix, q)
+            state = _apply_1q_fast(state, matrix, q, n)
     return state
 
 
@@ -167,9 +170,9 @@ def simulate(circuit: Circuit) -> np.ndarray:
 # (n = 6) and 1.2x (n = 8) as fast as one circuit at a time, and stacks of
 # 512 rows 2.5-2.7x (n <= 4) and 1.8x (n = 6); at 6-8 qubits and up to
 # 1 024 rows, cutting a stack into pieces of 2**15 amplitudes saved at most
-# a few per cent. From 9 qubits, where `run_gates` takes the one-call
-# layout, a stack ran at 0.7-1.0x. The limit must stay below 9 in any
-# case: a stack keeps the bits of the per-block layout only.
+# a few per cent. Since rows of 7 or more qubits take the one-call layout
+# for bits 0 and 1, stacks of 64 rows ran 1.6x (n = 7), 1.1x (n = 8 and 9)
+# and 0.8x (n = 10), so wider lists still run one circuit at a time.
 _STACK_MAX_QUBITS = 8
 
 
@@ -193,10 +196,10 @@ def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
     """The states of validated circuits of one shape, row i for circuit i,
     cell by cell in `run_gates` order: at each cell, the rows holding a
     one-qubit gate go through `_apply_1q_fast` with one matrix per row, which
-    makes the BLAS call per (2, 2**q) block it makes for a row alone, and
-    each (kind, partner) group of rows holding a control half goes through
-    its kernel. Rows holding an identity or a target half are not touched:
-    multiplying by I would turn -0.0 into +0.0."""
+    makes the BLAS calls it makes for a row alone, and each (kind, partner)
+    group of rows holding a control half goes through its kernel. Rows
+    holding an identity or a target half are not touched: multiplying by I
+    would turn -0.0 into +0.0."""
     n, depth = circuits[0].n_qubits, circuits[0].depth
     grids = [c.grid for c in circuits]
     state = np.zeros((len(grids), 1 << n), dtype=complex)
@@ -217,7 +220,7 @@ def _run_stack(circuits: Sequence[Circuit]) -> np.ndarray:
                     )
             if single:
                 stacked = np.array(matrices)[:, None]
-                state[single] = _apply_1q_fast(state[single], stacked, q)
+                state[single] = _apply_1q_fast(state[single], stacked, q, n)
             for (kind, partner), group in pairs.items():
                 kernel = _apply_cx_fast if kind is _CX else _apply_cz_fast
                 state[group] = kernel(state[group], q, partner, n)

@@ -190,26 +190,17 @@ def test_random_circuit_and_simulation_bits(gate_set, width):
     assert _simulation_digest(gate_set, width, DEPTHS) == expected
 
 
-# the same at widths where one-qubit gates on qubits >= 2 reach the
-# one-call layout of `simulator._run` (single states and the (3, 2**n)
-# stacks at 9 qubits, single states at 13), over fewer depths; the SkylakeX
-# digests were recorded with one np.matmul call per block alone
+# the same at widths where one-qubit gates reach the one-call layout of
+# `simulator._run` (bits 0-2 of the single states and of each row of the
+# (3, 2**n) stacks at 9 qubits, bits 0-6 at 13), over fewer depths;
+# Haswell gave the SkylakeX digests, and Sandybridge and Nehalem the Katmai
+# ones
 WIDE_DEPTHS = (1, 3, 7)
 WIDE_DIGESTS = {
     "SkylakeX": {
-        ("full", 9): "f6f7cc533b3ca32991d06f5da66459d1340789f076d8324fe0325025aba7b741",
-        ("full", 13): "0eec41ad78bf355630622d8617d6b387cc61fb9a65edf6945dd913b288871d58",
-        ("restricted", 13): "23c1d94174f1688efdf95b8a423cf0d38366eba1d8965e492cc493b4c2ec5ce3",
-    },
-    "Haswell": {
-        ("full", 9): "53cd4967dce2f83c0cf7fe9823964692a36677115c3036359e0a675c17c4fa06",
-        ("full", 13): "40bb568503a15ecd072de813aeb7c8092df30f4bded5978d47ed6b75af670686",
-        ("restricted", 13): "908369f56c116b704f4436c7ad75611b46767f0b04ff445cd53e764d3ad4496a",
-    },
-    "Sandybridge": {
-        ("full", 9): "cae7879c39352b154f3f4a318011cad13e3d7c5c32869b48cef2db8e69dbaeb7",
-        ("full", 13): "1cca33fb2e1d65fa66f6a1fba37d222edfe0968a74ce7cbc25857aeb0ee875b7",
-        ("restricted", 13): "908369f56c116b704f4436c7ad75611b46767f0b04ff445cd53e764d3ad4496a",
+        ("full", 9): "500d0a92ae65b4c84afc437f623f8ec1264f6f5b05d0b9c12202ffa5bf114b1c",
+        ("full", 13): "2e466334443025109f263275dc25773121a5c7f46e8690b76beeb282f7adb70e",
+        ("restricted", 13): "8142f0b78b85ac4ce26667f890aff22dded8df082bfc2ff42a6ecb9df5039538",
     },
     "Katmai": {
         ("full", 9): "942f223867a2571a39f9d6bb029cc6a31e8996bb1e8330dd0384037cc9700c74",
@@ -217,7 +208,8 @@ WIDE_DIGESTS = {
         ("restricted", 13): "8142f0b78b85ac4ce26667f890aff22dded8df082bfc2ff42a6ecb9df5039538",
     },
 }
-WIDE_DIGESTS["Nehalem"] = WIDE_DIGESTS["Sandybridge"]
+WIDE_DIGESTS["Haswell"] = WIDE_DIGESTS["SkylakeX"]
+WIDE_DIGESTS["Sandybridge"] = WIDE_DIGESTS["Nehalem"] = WIDE_DIGESTS["Katmai"]
 
 
 @pytest.mark.parametrize("gate_set,width", sorted(WIDE_DIGESTS["SkylakeX"]))

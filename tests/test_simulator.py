@@ -112,6 +112,14 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(zero_state(2), GateKind.X, None, (2,))
 
+    @pytest.mark.parametrize("shape", [(16, 4), (4, 16)])
+    def test_rejects_a_stack(self, shape):
+        # read by its row count, a (16, 4) stack would take X on qubit 3 as
+        # a swap of its rows, and a (4, 16) one would have 2 qubits
+        with pytest.raises(ValueError) as exc:
+            apply_gate(np.zeros(shape, dtype=complex), GateKind.X, None, (3,))
+        assert str(exc.value) == f"expected one statevector (2**n,), got shape {shape}"
+
     @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.CZ])
     def test_angle_on_two_qubit_gate_rejected(self, kind):
         with pytest.raises(ValueError, match="takes no rotation angle"):
@@ -237,31 +245,100 @@ class TestRunGatesBatch:
         assert np.array_equal(out, simulate(c))
 
 
+def one_call_reference(row: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
+    """`matrix` on bit q of one state as one product over all of its
+    (2, 2**q) blocks: the amplitudes with bit q clear as one row of a
+    (2, 2**(n-1)) operand and those with it set as the other."""
+    blocks = row.reshape(-1, 2, 1 << q)
+    operand = np.stack([blocks[:, 0].ravel(), blocks[:, 1].ravel()])
+    prod = np.matmul(matrix, operand)
+    out = np.empty_like(blocks)
+    out[:, 0], out[:, 1] = prod[0].reshape(-1, 1 << q), prod[1].reshape(-1, 1 << q)
+    return out.reshape(row.shape)
+
+
+ONE_QUBIT = [k for k in GateKind if k.arity == 1 and k is not GateKind.ID]
+
+
 @pytest.mark.per_kernel
 class TestOneCallLayout:
-    """On wide states `run_gates` runs a one-qubit gate on bit q >= 2 as one
-    BLAS call over all (2, 2**q) blocks. Every row must keep the bits of one
-    `np.matmul` call per block, the layout it replaces, on whichever
-    OpenBLAS kernel runs the test."""
+    """`run_gates` runs a one-qubit gate on bit q of a row that holds at
+    least 64 (2, 2**q) blocks as one BLAS call over all of them. For q >= 2
+    every row keeps the bits of one `np.matmul` call per block, the layout
+    it replaces; for q < 2, whose per-block calls round otherwise, the bits
+    of the one product written out above. Both hold on whichever OpenBLAS
+    kernel runs the test."""
 
-    ONE_QUBIT = [k for k in GateKind if k.arity == 1 and k is not GateKind.ID]
+    @staticmethod
+    def one_gate(state, n, kind, theta, q):
+        rows = [(Gate(GateKind.ID),)] * n
+        rows[q] = (Gate(kind, theta=theta),)
+        out = run_gates(state, Circuit(n, tuple(rows)))
+        assert out.shape == state.shape and out.flags.c_contiguous
+        return out
 
     @pytest.mark.parametrize("n", [8, 9, 11, 13])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_rows_match_per_block_matmul(self, n, batch, rng):
         shape = (2**n,) if batch is None else (batch, 2**n)
         state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for kind in self.ONE_QUBIT:
+        for kind in ONE_QUBIT:
             theta = float(rng.uniform(-np.pi, np.pi)) if kind.parameterized else None
             matrix = gate_matrix(kind, theta)
-            for q in range(n):
-                rows = [(Gate(GateKind.ID),)] * n
-                rows[q] = (Gate(kind, theta=theta),)
-                out = run_gates(state, Circuit(n, tuple(rows)))
-                blocks = state.reshape(-1, 2, 1 << q)
-                expected = np.matmul(matrix, blocks).reshape(shape)
-                assert out.shape == shape and out.flags.c_contiguous
+            for q in range(2, n):
+                out = self.one_gate(state, n, kind, theta, q)
+                expected = np.matmul(matrix, state.reshape(-1, 2, 1 << q)).reshape(shape)
                 assert out.tobytes() == expected.tobytes(), (kind, q)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 11, 13])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_bits_0_and_1_match_one_product(self, n, batch, rng):
+        shape = (2**n,) if batch is None else (batch, 2**n)
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for kind in ONE_QUBIT:
+            theta = float(rng.uniform(-np.pi, np.pi)) if kind.parameterized else None
+            matrix = gate_matrix(kind, theta)
+            for q in (0, 1):
+                out = self.one_gate(state, n, kind, theta, q)
+                if n - q - 1 >= 6:
+                    rows = state.reshape(-1, 2**n)
+                    expected = np.array([one_call_reference(r, matrix, q) for r in rows])
+                else:  # bit 1 of 7 qubits: 32 blocks, one call per block
+                    expected = np.matmul(matrix, state.reshape(-1, 2, 1 << q))
+                assert out.tobytes() == expected.reshape(shape).tobytes(), (kind, q)
+
+    @given(
+        st.integers(7, 13),
+        st.sampled_from(ONE_QUBIT),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_row_keeps_its_bits_in_any_stack(self, n, kind, rows, seed, data):
+        """A row gets the bytes it gets alone at any position of a stack
+        with one matrix for every row, and in a stack of one matrix per row
+        as `_run_stack` builds it."""
+        q = data.draw(st.integers(0, n - 1))
+        at = data.draw(st.integers(0, rows - 1))
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+
+        def angle(k):
+            return float(rng.uniform(-np.pi, np.pi)) if k.parameterized else None
+
+        theta = angle(kind)
+        grid = [(Gate(GateKind.ID),)] * n
+        grid[q] = (Gate(kind, theta=theta),)
+        shared = run_gates(stack, Circuit(n, tuple(grid)))
+        assert shared[at].tobytes() == apply_gate(stack[at], kind, theta, (q,)).tobytes()
+        # `kind` at row `at`, drawn kinds and angles on the other rows
+        kinds = [ONE_QUBIT[i] for i in rng.integers(len(ONE_QUBIT), size=rows)]
+        kinds[at] = kind
+        gates = [(k, angle(k)) for k in kinds]
+        matrices = np.array([gate_matrix(k, a) for k, a in gates])[:, None]
+        per_row = simulator._apply_1q_fast(stack, matrices, q, n)
+        for row, (k, a), got in zip(stack, gates, per_row):
+            assert got.tobytes() == apply_gate(row, k, a, (q,)).tobytes()
 
 
 def reference_run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
@@ -294,7 +371,7 @@ def reference_run_gates(state: np.ndarray, circuit: Circuit) -> np.ndarray:
 @pytest.mark.per_kernel
 class TestRunGatesBitForBit:
     """The gate loop gives the bits of the loop written out above, on
-    whichever OpenBLAS kernel runs the test (below 9 qubits no one-qubit
+    whichever OpenBLAS kernel runs the test (below 7 qubits no one-qubit
     gate takes the one-call layout)."""
 
     @given(
