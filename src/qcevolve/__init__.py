@@ -8,6 +8,7 @@ from .circuit import (
     export_qasm,
     pad_to,
     random_circuit,
+    random_circuits,
     repair,
     serialize,
     validate,

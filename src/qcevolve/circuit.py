@@ -11,8 +11,8 @@ import enum
 import json
 from collections.abc import Sequence
 from functools import cache
+from itertools import repeat
 from math import inf, isfinite, pi
-from operator import length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -199,93 +199,6 @@ def _draw_gate(
         cells[tgt] = shared_cell(kind, Role.TARGET, ctrl)
 
 
-class _PCG64Draws:
-    """The draws random_column and _draw_gate take from a Generator over
-    PCG64, served from blocks of the bit generator's raw 64-bit words.
-
-    A call to a Generator method costs many times the word it draws. Each
-    method below rebuilds the algorithm of numpy's C code in Python, so it
-    returns the values numpy would return from the same state:
-    - `integers(k)`: Lemire's method on the next 32-bit half word, with no
-      draw for k == 1;
-    - `random()`: the top 53 bits of a word times 2**-53;
-    - `uniform(lo, hi)`: lo + (hi - lo) * random();
-    - `shuffle(x)` on a list: Fisher-Yates from the back, each index drawn
-      from a half word under the smallest covering bit mask, rejected and
-      drawn again while above its bound.
-    A half word is the low 32 bits of a fresh word; the high 32 bits wait
-    in the generator's `has_uint32`/`uinteger` buffer for the next one,
-    which carries across calls, and a 64-bit draw leaves it alone.
-
-    As a context manager it takes the generator's state on entry and, on
-    exit, restores it with the buffer as the draws left it and skips the
-    words they used: the generator is then exactly where numpy's own calls
-    would have left it. The generator must not be drawn from in between.
-    """
-
-    __slots__ = ("_bg", "_state", "_block", "_words", "_read", "_has32", "_half")
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        self._bg = rng.bit_generator
-        self._block = block
-
-    def __enter__(self) -> _PCG64Draws:
-        state = self._state = self._bg.state
-        self._has32 = state["has_uint32"]
-        self._half = state["uinteger"]
-        self._read = 0
-        self._words = iter(())
-        return self
-
-    def __exit__(self, *exc) -> None:
-        state = self._state
-        state["has_uint32"] = self._has32
-        state["uinteger"] = self._half
-        self._bg.state = state
-        self._bg.random_raw(self._read - length_hint(self._words), False)
-
-    def _word(self) -> int:
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._bg.random_raw(self._block).tolist())
-            self._read += self._block
-            return next(self._words)
-
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = 0
-            return self._half
-        w = self._word()
-        self._has32 = 1
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
-
-    def integers(self, k: int) -> int:
-        if k == 1:
-            return 0
-        m = self._next32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = 0x100000000 % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * k
-        return m >> 32
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def shuffle(self, x: list) -> None:
-        for i in reversed(range(1, len(x))):
-            mask = (1 << i.bit_length()) - 1
-            j = self._next32() & mask
-            while j > i:
-                j = self._next32() & mask
-            x[i], x[j] = x[j], x[i]
-
-
 def random_column(
     n_qubits: int, table: _DrawTable, rng: np.random.Generator
 ) -> tuple[Gate, ...]:
@@ -320,27 +233,140 @@ def random_circuit(
     gate_set: frozenset[GateKind],
     rng: np.random.Generator,
 ) -> Circuit:
-    """Draw a valid circuit from `gate_set`, column by column: each column
-    visits its rows in a random order, and a free row draws its kind
+    """One circuit of `random_circuits`: `random_circuits(1, ...)[0]`."""
+    return random_circuits(1, n_qubits, depth, gate_set, rng)[0]
+
+
+@cache
+def _cell_table(
+    gate_set: frozenset[GateKind], n_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells `random_circuits` places, by code, as an object array, and
+    which codes are rotations. Codes 0 .. s-1 are the set's one-qubit kinds
+    in draw-table order (identity alone when it has none); code
+    s + (2 t + half) n + p is the control (half 0) or target (half 1) cell
+    of two-qubit kind t with partner row p. A rotation's entry is its kind:
+    each such cell gets its own Gate, with its angle. The cache holds one
+    entry per gate set and width."""
+    one_q, kinds = _draw_table(gate_set)
+    entries = [k if k.parameterized else shared_cell(k) for k in one_q or (GateKind.ID,)]
+    entries += [
+        shared_cell(k, role, p)
+        for k in kinds[len(one_q) :]
+        for role in (Role.CONTROL, Role.TARGET)
+        for p in range(n_qubits)
+    ]
+    # fromiter keeps each Gate whole, where np.array would unpack the tuples
+    cells = np.fromiter(entries, object, len(entries))
+    return cells, np.array([isinstance(e, GateKind) for e in entries])
+
+
+# random_circuits draws whole circuits of at most this many cells at a time,
+# so its temporaries stay bounded
+_DRAW_CELLS = 1 << 14
+
+
+def random_circuits(
+    count: int,
+    n_qubits: int,
+    depth: int,
+    gate_set: frozenset[GateKind],
+    rng: np.random.Generator,
+) -> list[Circuit]:
+    """Draw `count` valid circuits from `gate_set`, column by column: each
+    column visits its rows in a random order, and a free row draws its kind
     uniformly from the set (two-qubit kinds only while another row is
     free), a rotation angle uniformly from [-pi, pi), and a two-qubit kind
     a uniformly drawn free partner row and a fair coin for which row is
     the control. Not uniform over valid circuits.
 
-    From a Generator over PCG64 the draws come from _PCG64Draws: the same
-    numbers, and the same generator state afterwards, for less."""
+    One `rng.random((count, depth, n_qubits, 5))` call gives every cell
+    five doubles: its visit-order key, and its kind, partner, coin and
+    angle doubles, read when the cell is visited. A column visits its rows
+    by `argsort(kind="stable")` of their keys. An index drawn from k
+    choices is floor(double * k): the kind's among the draw table's kinds,
+    and the partner's among the free rows after the visited one, in visit
+    order. The visited row is the control when its coin is below 0.5, and
+    an angle is -pi + 2 pi * double. Only elementwise IEEE arithmetic
+    touches the doubles, so the circuits depend on nothing but them, on
+    every CPU. A circuit takes a fixed count of doubles, in order:
+    `random_circuits(a + b, ...)` is `random_circuits(a, ...) +
+    random_circuits(b, ...)`, and leaves `rng` in the same state."""
     if n_qubits < 1 or n_qubits > MAX_QUBITS:
         raise ConfigurationError(f"n_qubits {n_qubits} out of range")
     if depth < 1:
         raise ConfigurationError(f"depth {depth} must be >= 1")
     check_gate_set(gate_set, n_qubits)
-    table = _draw_table(gate_set)
-    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
-        with _PCG64Draws(rng, 2 * n_qubits * depth) as draws:
-            cols = [random_column(n_qubits, table, draws) for _ in range(depth)]
-    else:
-        cols = [random_column(n_qubits, table, rng) for _ in range(depth)]
-    return from_columns(n_qubits, cols)
+    step = max(1, _DRAW_CELLS // (n_qubits * depth))
+    circuits: list[Circuit] = []
+    for start in range(0, count, step):
+        circuits += _draw(min(step, count - start), n_qubits, depth, gate_set, rng)
+    return circuits
+
+
+def _draw(
+    count: int,
+    n: int,
+    depth: int,
+    gate_set: frozenset[GateKind],
+    rng: np.random.Generator,
+) -> list[Circuit]:
+    """The circuits of `random_circuits` from one `rng.random` call."""
+    columns = count * depth
+    one_q, kinds = _draw_table(gate_set)
+    cells, rotation = _cell_table(gate_set, n)
+    a, singles = len(one_q), max(len(one_q), 1)
+    draws = rng.random((columns, n, 5))
+    # as [i, column]: the index into the (columns * n, 5) doubles of the
+    # cell of the row that the column visits i-th
+    cell = np.argsort(draws[:, :, 0], axis=1, kind="stable")
+    cell += np.arange(0, columns * n, n)[:, None]
+    cell = cell.T
+    draws = draws.reshape(-1, 5)
+    # each cell's code: first, the kind it draws while another row is free;
+    # floor(d * k) < k for every double d < 1 and k < 2**53
+    code = (draws[cell, 1] * len(kinds)).astype(np.int8)
+    if len(kinds) > a:
+        partner_u = draws[cell, 2]
+        leads = code >= a  # would draw a pair: cleared where claimed
+        free = np.ones((n, columns), np.intp)  # 1 until claimed as a partner
+        lone = np.ones((n, columns), bool)  # no free row after it
+        mate = np.full((n, columns), -1, np.int8)  # where a pair drawn here claimed
+        for i in range(n - 1):
+            # the k-th free position after i is the first whose count of
+            # free positions from i + 1 on exceeds k
+            counts = np.add.accumulate(free[i + 1 :])
+            left = counts[-1]
+            np.equal(left, 0, out=lone[i])
+            drawn = (leads[i] > lone[i]).nonzero()[0]
+            if drawn.size:
+                k = (partner_u[i] * left).astype(np.intp)
+                q = (counts > k).argmax(0)[drawn] + (i + 1)
+                free[q, drawn] = leads[q, drawn] = False
+                mate[i, drawn] = q
+        code[lone] = (draws[cell[lone], 1] * singles).astype(np.int8)
+        at, col = (mate >= 0).nonzero()
+        to = mate[at, col]
+        here, there = cell[at, col], cell[to, col]
+        pair = singles + 2 * n * (code[at, col] - a)
+        # the coin makes the row that drew the pair its control below 0.5
+        target = draws[here, 3] >= 0.5
+        code[at, col] = pair + target * n + there % n
+        code[to, col] = pair + ~target * n + here % n
+    grid_codes = np.empty(columns * n, np.int8)
+    grid_codes[cell] = code
+    # one row of cells per qubit, each row a run of depth cells
+    grid_codes = grid_codes.reshape(count, depth, n).transpose(0, 2, 1)
+    placed = cells[grid_codes]
+    turns = rotation[grid_codes]
+    if turns.any():
+        angles = draws[:, 4].reshape(count, depth, n).transpose(0, 2, 1)[turns]
+        thetas = (angles * (2 * pi) + -pi).tolist()
+        fields = zip(placed[turns].tolist(), repeat(Role.SINGLE), thetas, repeat(None))
+        # tuple.__new__ builds each Gate without its Python-level __new__
+        gates = map(tuple.__new__, repeat(Gate), fields)
+        placed[turns] = np.fromiter(gates, object, len(thetas))
+    return [Circuit(n, tuple(map(tuple, grid))) for grid in placed.tolist()]
 
 
 def pad_to(circuit: Circuit, n_qubits: int, depth: int) -> Circuit:

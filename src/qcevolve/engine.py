@@ -9,7 +9,15 @@ from numbers import Real
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, check_gate_set, export_qasm, random_circuit, validate
+from .circuit import (
+    MAX_QUBITS,
+    Circuit,
+    check_gate_set,
+    export_qasm,
+    random_circuit,  # not called here; gabench/tracing.py wraps it as engine.random_circuit
+    random_circuits,
+    validate,
+)
 from .errors import CircuitStructureError, ConfigurationError, QcevolveError
 from .fitness import FitnessFunction
 from .gates import FULL_GATE_SET, GateKind
@@ -292,10 +300,9 @@ def evolve(
     evaluator = _Evaluator(fitness_fn)
 
     # a generation is drawn whole, then scored: fitness takes no draws
-    members = evaluator.evaluate_all([
-        random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
-        for _ in range(cfg.population_size)
-    ])
+    members = evaluator.evaluate_all(
+        random_circuits(cfg.population_size, cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
+    )
     trace = [_record(0, members)]
     best_ever = max(members, key=lambda ind: ind.fitness)
 
@@ -332,9 +339,11 @@ def random_baseline(
     Generation 0 draws population_size circuits (matching GA init), every
     later generation draws children_per_generation. Every draw is scored:
     there is no memo, and the budget counts draws. The draws are made in
-    order and scored by the fitness's `score_all`, in chunks of at most
-    _BASELINE_CHUNK that span generations, so a fitness that stacks its
-    simulations stacks whole chunks.
+    chunks of at most _BASELINE_CHUNK that span generations, each chunk by
+    one `random_circuits` call and scored by one `score_all` call of the
+    fitness, so a fitness that stacks its simulations stacks whole chunks.
+    A list of circuits draws the circuits its parts would, in order, so
+    the chunk size does not change the trace.
     """
     cfg = config.resolved()
     fitness_fn.check_qubit_bounds(cfg.min_qubits, cfg.n_qubits, cfg.max_qubits)
@@ -343,10 +352,8 @@ def random_baseline(
     total = sum(budgets)
     fits: list[Real] = []
     while len(fits) < total:
-        chunk = [
-            random_circuit(cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
-            for _ in range(min(_BASELINE_CHUNK, total - len(fits)))
-        ]
+        count = min(_BASELINE_CHUNK, total - len(fits))
+        chunk = random_circuits(count, cfg.n_qubits, cfg.depth, cfg.gate_set, rng)
         fits += [ind.fitness for ind in evaluator.score_all(chunk)]
     best = -np.inf
     trace = []

@@ -4,11 +4,17 @@ circuit repair and the statevector files.
 The simulator oracles build explicit full-dimension matrices by index
 arithmetic and never go through the package's gate-application path; the
 repair oracle follows `repair`'s docstring rule by rule with its own pair
-test; the file oracles format and parse one amplitude at a time.
+test; the draw oracles build circuits cell by cell from the doubles
+`random_circuits` documents, and give the exact probability of each
+column by enumerating the process it documents; the file oracles format
+and parse one amplitude at a time.
 """
 from __future__ import annotations
 
 import math
+from math import pi
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +132,78 @@ def repair_oracle(circuit: Circuit, rng: np.random.Generator) -> Circuit:
             grid[r][c] = Gate(g.kind, role, partner=partner)
             grid[partner][c] = Gate(g.kind, other_role, partner=r)
     return Circuit(n, tuple(map(tuple, grid)))
+
+
+def draw_oracle(count: int, n: int, depth: int, gate_set, rng) -> list[Circuit]:
+    """The circuits `random_circuits` documents, built one cell at a time
+    in Python from the same `rng.random((count, depth, n, 5))` doubles."""
+    one = sorted((k for k in gate_set if k.arity == 1), key=lambda k: k.value)
+    every = one + sorted((k for k in gate_set if k.arity == 2), key=lambda k: k.value)
+    circuits = []
+    for doubles in rng.random((count, depth, n, 5)).tolist():
+        columns = []
+        for column in doubles:
+            order = sorted(range(n), key=lambda r: column[r][0])  # a stable sort
+            cells: list = [None] * n
+            for i, r in enumerate(order):
+                if cells[r] is not None:
+                    continue
+                _, kind_u, partner_u, coin_u, angle_u = column[r]
+                free = [q for q in order[i + 1 :] if cells[q] is None]
+                kinds = every if free else one
+                if not kinds:
+                    cells[r] = Gate(GateKind.ID)
+                    continue
+                kind = kinds[int(kind_u * len(kinds))]
+                if kind.arity == 1:
+                    theta = -pi + 2 * pi * angle_u if kind.parameterized else None
+                    cells[r] = Gate(kind, theta=theta)
+                    continue
+                other = free[int(partner_u * len(free))]
+                ctrl, tgt = (r, other) if coin_u < 0.5 else (other, r)
+                cells[ctrl] = Gate(kind, Role.CONTROL, partner=tgt)
+                cells[tgt] = Gate(kind, Role.TARGET, partner=ctrl)
+            columns.append(cells)
+        circuits.append(Circuit(n, tuple(zip(*columns))))
+    return circuits
+
+
+def column_distribution(n: int, gate_set) -> dict[tuple, Fraction]:
+    """The exact probability of every column of n rows that a draw from
+    `gate_set` can give, angles aside, as `random_circuits` documents the
+    draw: rows are visited in a uniformly random order, so the next row
+    visited is uniform over the rows neither visited nor claimed; it draws
+    its kind uniformly from the set, or from the one-qubit kinds when no
+    other such row is left (identity when there are none); a two-qubit
+    kind takes a uniformly drawn one of those rows as its partner, and a
+    fair coin picks the control. A column is a tuple of
+    (kind value, role value, partner) per row."""
+    one = [k for k in gate_set if k.arity == 1]
+    every = one + [k for k in gate_set if k.arity == 2]
+    found: dict[tuple, Fraction] = defaultdict(Fraction)
+
+    def visit(free: frozenset, cells: dict, p: Fraction) -> None:
+        if not free:
+            found[tuple(cells[r] for r in range(n))] += p
+            return
+        for r in free:
+            rest = free - {r}
+            kinds = every if rest else one
+            if not kinds:
+                visit(rest, {**cells, r: ("id", "single", None)}, p / len(free))
+                continue
+            for k in kinds:
+                pk = p / len(free) / len(kinds)
+                if k.arity == 1:
+                    visit(rest, {**cells, r: (k.value, "single", None)}, pk)
+                    continue
+                for other in rest:
+                    for ctrl, tgt in ((r, other), (other, r)):
+                        pair = {ctrl: (k.value, "control", tgt), tgt: (k.value, "target", ctrl)}
+                        visit(rest - {other}, {**cells, **pair}, pk / len(rest) / 2)
+
+    visit(frozenset(range(n)), {}, Fraction(1))
+    return dict(found)
 
 
 def statevector_text_oracle(state: np.ndarray) -> str:

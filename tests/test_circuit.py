@@ -377,22 +377,22 @@ class TestHashing:
 # cross-checked against the index-embedding oracle when first recorded
 SEED10_RESTRICTED_TARGET = np.array(
     [
-        0.07997811054084726 + 0.08017872964331205j,
-        -0.11713432045109821 + 0.09441142853152693j,
-        0.03761393938405271 + 0.10681909200565273j,
-        -0.14638687048202 + 0.03471096390745276j,
-        0.10718767692054043 - 0.023542463470113476j,
-        -0.3797255848036537 + 0.2414662312992354j,
-        0.10686840884791296 + 0.024951730604892496j,
-        -0.44671675422358 + 0.054236538498345144j,
-        0.4528219799842909 + 0.04088495760107713j,
-        0.08323185590500799 - 0.02990048711758634j,
-        0.4192983060462063 - 0.17580743972232094j,
-        0.05955813291451201 - 0.06537897040332087j,
-        0.14529715287522088 + 0.03625601710003892j,
-        0.04221264297365436 - 0.10607273486329398j,
-        0.14536950606549107 - 0.03596481775122483j,
-        -0.012342385416705034 - 0.11349448370042206j,
+        -0.09504502054620197 + 0.04450654620295j,
+        0.08697148239118385 - 0.05873967855056133j,
+        0.30575543689807566 - 0.14317550147187724j,
+        0.2797832379157957 - 0.18896283019633758j,
+        -0.08697148239118385 + 0.05873967855056133j,
+        -0.09504502054620197 + 0.04450654620295j,
+        -0.2797832379157957 + 0.18896283019633758j,
+        0.30575543689807566 - 0.14317550147187724j,
+        0.18896283019633758 + 0.2797832379157957j,
+        -0.14317550147187727 - 0.3057554368980756j,
+        -0.05873967855056133 - 0.08697148239118385j,
+        -0.044506546202949984 - 0.09504502054620197j,
+        0.14317550147187727 + 0.3057554368980756j,
+        0.18896283019633758 + 0.2797832379157957j,
+        0.044506546202949984 + 0.09504502054620197j,
+        -0.05873967855056133 - 0.08697148239118385j,
     ]
 )
 

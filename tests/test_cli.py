@@ -392,7 +392,7 @@ class TestMainEntry:
             raise AssertionError("a circuit was drawn")
 
         monkeypatch.setattr(cli, "random_circuit", no_draw)
-        monkeypatch.setattr(engine, "random_circuit", no_draw)
+        monkeypatch.setattr(engine, "random_circuits", no_draw)
         cfg = write_config(
             tmp_path,
             f"n_qubits = 1\ndepth = 2\npopulation_size = 4\ngenerations = 1\n{key} = cx,cz\n",
@@ -686,7 +686,7 @@ class TestMalformedInputs:
         def no_draw(*args, **kwargs):
             raise AssertionError("a search circuit was drawn")
 
-        monkeypatch.setattr(engine, "random_circuit", no_draw)
+        monkeypatch.setattr(engine, "random_circuits", no_draw)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -808,38 +808,43 @@ class TestFitnessMemo:
         assert trace == [10.0, 19.0, 28.0, 37.0]
 
     def test_baseline_scores_every_draw(self, monkeypatch):
-        monkeypatch.setattr(
-            engine, "random_circuit", lambda *args: bell_circuit()
-        )
+        drawn = []
+
+        def bell_circuits(count, *args):
+            drawn.append(count)
+            return [bell_circuit()] * count
+
+        monkeypatch.setattr(engine, "random_circuits", bell_circuits)
         fn = CountingFitness(EntanglementFitness())
         trace = random_baseline(small_config(generations=3), fn, np.random.default_rng(0))
-        assert fn.calls == 10 + 3 * 9
+        assert fn.calls == sum(drawn) == 10 + 3 * 9
         assert trace == [1.0] * 4
 
     # best fitness, sha256 prefix of the serialized best circuit, and the
-    # (best, mean) trace, recorded before evolve had a memo
+    # (best, mean) trace, recorded from runs whose memo was bypassed (every
+    # request scored, nothing pruned)
     FIDELITY_RUN = (
-        0.319794654831933,
-        "1eff0b73e70e5c99",
+        0.5609600864039477,
+        "49350add8d605acc",
         [
-            (0.2615400001889874, 0.10391064094497907),
-            (0.2679172658159694, 0.16484150503010017),
-            (0.27041579194075566, 0.20833639010884783),
-            (0.3176057925235618, 0.2527099224752134),
-            (0.319794654831933, 0.27050951969620096),
-            (0.319794654831933, 0.2852122920342685),
-            (0.319794654831933, 0.30738745907549025),
+            (0.5609600864039477, 0.1453524567329099),
+            (0.5609600864039477, 0.20057410022536754),
+            (0.5609600864039477, 0.24675239375510705),
+            (0.5609600864039477, 0.2906800496773529),
+            (0.5609600864039477, 0.33855498353005115),
+            (0.5609600864039477, 0.35269003242445907),
+            (0.5609600864039477, 0.36358725862121033),
         ],
     )
     ML_RUN = (
         0.6666666666666666,
-        "392495e68261d2b4",
+        "614184cbff1fa7d5",
         [
-            (0.5, 0.4166666666666667),
+            (0.5, 0.5),
             (0.5, 0.5),
             (0.6666666666666666, 0.5277777777777778),
             (0.6666666666666666, 0.5833333333333334),
-            (0.6666666666666666, 0.6666666666666666),
+            (0.6666666666666666, 0.6388888888888888),
         ],
     )
 
@@ -851,7 +856,7 @@ class TestFitnessMemo:
         best, _ = evolve(cfg, fn, np.random.default_rng(1000))
         requested = 100 + 300 * 99
         assert fn.calls <= requested / 3
-        assert best.fitness == 0.7396658530313495  # as before the memo
+        assert best.fitness == 0.8046114543316747  # as with the memo bypassed
         assert sizes[0] <= 100 + 99
 
     @staticmethod

@@ -54,84 +54,84 @@ DEPTHS = range(1, 26)
 # and Sandybridge gave the same digests.
 DRAW_DIGESTS = {
     "SkylakeX": {
-        ("full", 1): "19e5c391a63de49906b579da9db187b4476d3c194c09ff5dbf14b033f5fb008a",
-        ("full", 2): "e0a6b704c03b6ee86fa6034d1cd18f86044612baaa89bbeb0f735f842e2b7491",
-        ("full", 3): "b3475f2a34684d7f01b3cd7d16585a64bfd9e0aee388f8c425a38e4343ada0de",
-        ("full", 4): "bc15d60be4e9ae0b6eb74a02c8b2cad21c90e5442c3fb0f73f3bd70378551846",
-        ("full", 5): "375751c86b5f5a4e1bec62c702f2ad7b91ec8c91c01b29fe6a035378dc4ce0d8",
-        ("full", 6): "783d725136207c8e29f66c83dfc7a036a854e229af94e639abb175bae48167e7",
-        ("restricted", 1): "2f2987293c939d4e597af4e323d00085a85f29a727e544340b90ce73043b3234",
-        ("restricted", 2): "8f27aabc8dcdb0e313cee5562fc069f2033565f4cb611276d4d63f83ec6d97f5",
-        ("restricted", 3): "9a3f4abf54f195147c5a5db513f1ea67483ad94ddcbd3042500118dcf3339a46",
-        ("restricted", 4): "01ea91831c2830c1cc1bc049458ca100da5da0553b39b8673d715f59ad2bf073",
-        ("restricted", 5): "d637e1711fa9e23655aac71d5a160c0abae99407ae4988d3c6491a2961c945c0",
-        ("restricted", 6): "f65dd4b0b5a88014cbee692aed8977705618d3e245e5ad94f39bc2c9b9b2cafa",
-        ("pair_heavy", 1): "cdad63c7e197e045472f874689b50cd1896226adf8886b9dbebd9a13aa57c507",
-        ("pair_heavy", 2): "3a664f931a6eccd5d11ec88a8f18e9a361d8f5a2b89ea8d9d00f4bf3adbdcc59",
-        ("pair_heavy", 3): "a657258d0f08f5753a2d9e8df288da2b23801da4fe3e075b006030d1044608a7",
-        ("pair_heavy", 4): "faa8f405e95e3d230b3daa9671b3fa3cffae578b78ff33f401977505e80ea69b",
-        ("pair_heavy", 5): "15a57a67f63bd5aea31d4cb187564cd05b3efb0e8e46ad2305bf536ad7575894",
-        ("pair_heavy", 6): "fe5ecb985fb254c3adca8ee3d6a1f729607442a3cd0e531050358126f5b2172d",
+        ("full", 1): "34dc2dc41c7c4f880ecef4509f266841211f6651b1bc887b6793f5aec94fe6f7",
+        ("full", 2): "95afe760fb32ed486ff92efe7f16f67dee47c1ecc371e4e407ae0696209fc5ca",
+        ("full", 3): "3b2ae7c954bb0161a4067ff8343fc856604b009213164ec98860cf79b2cfedd2",
+        ("full", 4): "400f2e3d520a375acc63817d1f178329c5a02b7302f7c0924fe5f16f6350ec28",
+        ("full", 5): "a73598903d943d60fe930db9e312952de833fbf4e10bd1460a275a073ae9e30c",
+        ("full", 6): "9c340f20c2ca24a979500b685b9a5a3494c4b7fc6f4854e7c52042e33920110e",
+        ("pair_heavy", 1): "30b9234974e8988818a4ffdc67f8d53ca0faa75e00135bd3cbe9053517e6f201",
+        ("pair_heavy", 2): "a0fc2b3f39177920a5299e5c5029a8cc0d21ece5f6de4b7d2a92806a17be88a5",
+        ("pair_heavy", 3): "3978f857cf001a00d9b35bd4dabcbff3983bd8a2c9357df7a6bcdee675552201",
+        ("pair_heavy", 4): "2be95416015840594b2d0b5226ad1b2a375c0d0ccb77700b16214bcfbf3c3092",
+        ("pair_heavy", 5): "0db5992125cce093d41f2f0bd2c9935695c91fc2a82cae9cba2e8d8e7a919940",
+        ("pair_heavy", 6): "de30dcc8c7bd049a96ca3263587b71ba4f0f29a1029fe74fc91f76385e5b427b",
+        ("restricted", 1): "3231f52fa4d2fc0b8a313d643f2a1ad937e01ffd0f85ece43f38405f5d62b552",
+        ("restricted", 2): "fa5c1f4afee4fb941090f82614e68fd9d43062d843b96d0a3a3bc3ecc02a5c1c",
+        ("restricted", 3): "0525f7122176079a1b57070d4c7c2f4be668c5e181b426c6419eb0401dc24df3",
+        ("restricted", 4): "dbede50650423995e37da62429e057c15032bcc4fe84fb993f075e6aa53a026e",
+        ("restricted", 5): "1052f005d120d7efd3546b5dda3e8c97f9a72e69f43d95a0d6c71fe581103126",
+        ("restricted", 6): "4ec9814eca390a480f2520df7aa710eb7483329f4ce8637a83d08ea13994852a",
     },
     "Haswell": {
-        ("full", 1): "c76fe464b2346ae0bf22729cb3befacc9bacda745f7a8749433e2b48b7d4ffb3",
-        ("full", 2): "53873530154cc9c6528612dfb7f310867e5599e8eb22c2a3486cd3bf84ee4a2a",
-        ("full", 3): "413d72e3a869fcd90ed7bfeabb67ec4888696c7f4289121af96e0441661b07a3",
-        ("full", 4): "0346aed01628e8d90e05aec0101147b9160c220ba7d735f4c25769a9ed380710",
-        ("full", 5): "9a3ebc0d84b5ad4cc1c08f0ccd3ba4b04b16ff70c858718f2430fc103f29827d",
-        ("full", 6): "1ac9b7d3447ae848159e855e704ac751e499fc1839fb1c2077f33ba23e4c5796",
-        ("restricted", 1): "e11ae4f88e76e0cdb4a8539bf4db589675520e0a8459fde025273bf177ae8b3a",
-        ("restricted", 2): "1084db1f862826a897c65c6a7647db624142642eba5973e085179608e8cc2cb1",
-        ("restricted", 3): "390833badfca1792b181d24afa2c3d6d6221b572a912be769485daaeb1ff783d",
-        ("restricted", 4): "a128927ace38ec21182dbdc1af950a69b45bdcf40e9b368b07dca33bff75467b",
-        ("restricted", 5): "2cab567e7da034812a1f6587ac970b86893c88a16dd3fcfa7a6a0660a6149558",
-        ("restricted", 6): "32761fe3dabed5aa13e6e36c1ed8fc4f265e9d315ad284c619bef7da9d81d3f1",
-        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
-        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
-        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
-        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
-        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
-        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+        ("full", 1): "7fb090d1cb588ce5128d1e998a08ceccaf5331d7e42bcd18591bebbb5c196f30",
+        ("full", 2): "8b4315ba9cb9edd86a75e7acdccb43de7ff06a64a32ba87e31fff919141637ed",
+        ("full", 3): "1dafe09312d883c3a5b4611da794f4a72da18e971c960808115b9a55a812ed2f",
+        ("full", 4): "017e8ac1a25f28ece2e2dbdbdd24e89b32a2d6078bdf1aa82976b1d7e3b46b66",
+        ("full", 5): "8a63c1becffe2f5701a89e6757ee80c377a4b7f014e3dd43989fb87a4ae3744f",
+        ("full", 6): "e79bdd88dd7a6fe9261b3ae0688a22c16a384e40d64b0753ae87c4967e77f27b",
+        ("pair_heavy", 1): "b95ce8cdbcf661972d1a4f85c757ad4bfa43723607f9963290dfdc1a0f8d5e96",
+        ("pair_heavy", 2): "4cc947dc6df4466f888e4ea879a7fa4c22a5ce9904901168618f4a90d698599c",
+        ("pair_heavy", 3): "bdf3182a6308a91e7dba479a041d49f48ba3ca570062ba634331c4bbc2ae31ff",
+        ("pair_heavy", 4): "21babe745862c3779172adbcc46e7f7e68a9a36123a8d1777c4c6b76b7d57431",
+        ("pair_heavy", 5): "76f067201f63dcf05454879e0b77f1720609b981a9530ce312205ccb5f2d5c45",
+        ("pair_heavy", 6): "75bcdf4d6faa18ef242d8e7399738494f3bcc6634e38e2572a186a7a501b5496",
+        ("restricted", 1): "55497cb75a7344878654db031b58c120220e99ef6a1d56ee26fe558000be4dc4",
+        ("restricted", 2): "3270298d09612d74708ed3070443cdb522ea232c418419c3a4c4ac7e44dc841a",
+        ("restricted", 3): "36c29f8984380aefd775c6bf5f92becf1a3d0ad89e0ee1c1b043fbba9d4c290f",
+        ("restricted", 4): "e8e478be8c0c31ff5283877ff25ea6264ec8fc42e87d88e003d9412632f1d7d5",
+        ("restricted", 5): "138e978b6787771d1c0db9641ca5e5ec50ed94bf1a94474d873c56a5a4491007",
+        ("restricted", 6): "c47a86f53669919f86e45ec4b87f85375c4f603cb8f30dfcb8341209b0b9a626",
     },
     "Sandybridge": {
-        ("full", 1): "c76fe464b2346ae0bf22729cb3befacc9bacda745f7a8749433e2b48b7d4ffb3",
-        ("full", 2): "180932a6f418e4caea773d91071832660083aa84bc82698e41749b4879d00e58",
-        ("full", 3): "e68422b234752c9d8fdb504f308454383175a0e96a196928f4d073034442ae66",
-        ("full", 4): "1be1236b64f90d91b0b372d39ae2156eec903db1d49958cd179bca83a83e8780",
-        ("full", 5): "16078ef63fe8636b1aef4647baabed05a22427504ebf0183e4895427664db987",
-        ("full", 6): "869c6dd6a610f729aa4ad41e3cc030baaca5ac40e885351ed356b7f31bb09c9c",
-        ("restricted", 1): "e11ae4f88e76e0cdb4a8539bf4db589675520e0a8459fde025273bf177ae8b3a",
-        ("restricted", 2): "1084db1f862826a897c65c6a7647db624142642eba5973e085179608e8cc2cb1",
-        ("restricted", 3): "390833badfca1792b181d24afa2c3d6d6221b572a912be769485daaeb1ff783d",
-        ("restricted", 4): "a128927ace38ec21182dbdc1af950a69b45bdcf40e9b368b07dca33bff75467b",
-        ("restricted", 5): "2cab567e7da034812a1f6587ac970b86893c88a16dd3fcfa7a6a0660a6149558",
-        ("restricted", 6): "32761fe3dabed5aa13e6e36c1ed8fc4f265e9d315ad284c619bef7da9d81d3f1",
-        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
-        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
-        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
-        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
-        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
-        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+        ("full", 1): "7fb090d1cb588ce5128d1e998a08ceccaf5331d7e42bcd18591bebbb5c196f30",
+        ("full", 2): "4c5299c06f0c6afbf491d403bca45e49a05fc55da5f20502437564dd8321958d",
+        ("full", 3): "eb1e3526a1f632ae096a3a74d49bf741ea4a60e3bf66eae2df20cc668c22d3e0",
+        ("full", 4): "2000592f955c8256af9440dbad51c197eb32c52f990beb28f78340e3a0d2a3ac",
+        ("full", 5): "6ca2894ee79e84d76e0f2643aca307aea3ef82632659ce49be5797ec64003471",
+        ("full", 6): "f5b8d25273adf9046087910a272290319e4a781e3a59c2c3df1738f463be7e81",
+        ("pair_heavy", 1): "b95ce8cdbcf661972d1a4f85c757ad4bfa43723607f9963290dfdc1a0f8d5e96",
+        ("pair_heavy", 2): "4cc947dc6df4466f888e4ea879a7fa4c22a5ce9904901168618f4a90d698599c",
+        ("pair_heavy", 3): "bdf3182a6308a91e7dba479a041d49f48ba3ca570062ba634331c4bbc2ae31ff",
+        ("pair_heavy", 4): "21babe745862c3779172adbcc46e7f7e68a9a36123a8d1777c4c6b76b7d57431",
+        ("pair_heavy", 5): "76f067201f63dcf05454879e0b77f1720609b981a9530ce312205ccb5f2d5c45",
+        ("pair_heavy", 6): "75bcdf4d6faa18ef242d8e7399738494f3bcc6634e38e2572a186a7a501b5496",
+        ("restricted", 1): "55497cb75a7344878654db031b58c120220e99ef6a1d56ee26fe558000be4dc4",
+        ("restricted", 2): "3270298d09612d74708ed3070443cdb522ea232c418419c3a4c4ac7e44dc841a",
+        ("restricted", 3): "36c29f8984380aefd775c6bf5f92becf1a3d0ad89e0ee1c1b043fbba9d4c290f",
+        ("restricted", 4): "e8e478be8c0c31ff5283877ff25ea6264ec8fc42e87d88e003d9412632f1d7d5",
+        ("restricted", 5): "138e978b6787771d1c0db9641ca5e5ec50ed94bf1a94474d873c56a5a4491007",
+        ("restricted", 6): "c47a86f53669919f86e45ec4b87f85375c4f603cb8f30dfcb8341209b0b9a626",
     },
     "Katmai": {
-        ("full", 1): "b42adb5522a88c722ba9e62ed5fc931286f82e3fdb8d59f2efdcb681d1cb3e86",
-        ("full", 2): "94c8c578e0296a3705cae41eb7153d76f003f2c55f14f5c56b9e47b41bd193aa",
-        ("full", 3): "d756142b52a878c6ddcce148097bd624a321812bb26511da4afa50c39257a0b5",
-        ("full", 4): "ba1f81683f47ab8579b15e053fef0d9c833586f3218853227abe976e7de81207",
-        ("full", 5): "9da1be2f8ddddb2f95cee26abbaef5dc526eed219e28c38ad1518b603987d3cb",
-        ("full", 6): "daa7b16e7a19a4dfe677a6045b3451e9b33f5d3dc2f77f5bac2a07c7156b7685",
-        ("restricted", 1): "ce8e0a0f64e21b3ca1dbd3b97f59bc871617df053526d7122c158f74315a5223",
-        ("restricted", 2): "2b5931cc78cb6600ed4f1e30e029b4e07205755558500e8e33c4bd6be2a42cc6",
-        ("restricted", 3): "be7dccc6dc392a9f7fb5887680c1ef4c0e6c90bc437ec28d86ac5220bfa7cca8",
-        ("restricted", 4): "c745fc8acd22ed51b9497b190f0d5ffa0890ef0726dd3b6ada8e50f6f1ecead9",
-        ("restricted", 5): "66cca4bc8aa8fc96d30f0fa7578314b432b2a95cb8e84eaf32d308bd594d846b",
-        ("restricted", 6): "9657e216078dc9ba9188af6984efa6c28b12a33a439e772fb8713bd2eca1bba1",
-        ("pair_heavy", 1): "e1a43e4a1c8a902512872204a2c33694772035670101bf757a3550b07fea30b0",
-        ("pair_heavy", 2): "4a8e05d580ca62b3960681478e1817e5bb63736b5c6ca6d57a88ab0610c8c495",
-        ("pair_heavy", 3): "342aad00185e1f228ecec419ac2818df2cf7d60773f9ea361b85f6c54a108d50",
-        ("pair_heavy", 4): "3c81844c0d2e83e38dc4276aaad705d5cf3fd4628c9d17efef36f229195734e8",
-        ("pair_heavy", 5): "ec8df608aa627da9902539d859eae1a524ae6c25ab0c9f52ef770179f23f3d46",
-        ("pair_heavy", 6): "2f8173736d26e635fe88baee0aa973015376273c9044335a9526531d86a2cd4d",
+        ("full", 1): "3bcec085a4e0d6bed620bc6806e71964bfca8978f0c44abdd22f3f5dc8cce850",
+        ("full", 2): "0e0829721308e1495c0613c970de76d0d27a3388149fdb41457906fa74788b75",
+        ("full", 3): "944114774de6f7809d0ce47f26486feb6fe37caa2cf8844e4a2e0f989c2ab8cb",
+        ("full", 4): "290fe9663e05620cc95019f4c010819a7e76a81cd58f12f88878bf8683b7cad7",
+        ("full", 5): "8fbcf23233f8e5a869e5c892d2b859e8868475b12d7e9860fc76cd82ef4de9a2",
+        ("full", 6): "2e5c7eb8703a1894aec3a940d7d1a253a33cd98394959dd26edcb953b803db52",
+        ("pair_heavy", 1): "b95ce8cdbcf661972d1a4f85c757ad4bfa43723607f9963290dfdc1a0f8d5e96",
+        ("pair_heavy", 2): "4cc947dc6df4466f888e4ea879a7fa4c22a5ce9904901168618f4a90d698599c",
+        ("pair_heavy", 3): "bdf3182a6308a91e7dba479a041d49f48ba3ca570062ba634331c4bbc2ae31ff",
+        ("pair_heavy", 4): "21babe745862c3779172adbcc46e7f7e68a9a36123a8d1777c4c6b76b7d57431",
+        ("pair_heavy", 5): "76f067201f63dcf05454879e0b77f1720609b981a9530ce312205ccb5f2d5c45",
+        ("pair_heavy", 6): "75bcdf4d6faa18ef242d8e7399738494f3bcc6634e38e2572a186a7a501b5496",
+        ("restricted", 1): "c22c658a8fee37a3c002af68dfd3ed3b0a2e5942ba20ea1be014eaead805dd6c",
+        ("restricted", 2): "4f5bd58ad7b36a39fa4edc8a027d374accc603b78046c8d420c2f640b0e5d1b8",
+        ("restricted", 3): "1350e088b6c64148f82e82a3d4be635a925be716ef1796e9decf5fa0b2ca0a09",
+        ("restricted", 4): "9ed3414900d676e1195f02cd10474f2b235820580c66a8873f93f43f57191342",
+        ("restricted", 5): "1a201c4b9a9cd2dc2f21c2b1bfdf6aa90517dc0afc7ea4dfb122712a3ea2b86d",
+        ("restricted", 6): "3735600aa9fd4c1b55ba90eb8168ace171d0723830c904bf929eb41e35a2e91c",
     },
 }
 DRAW_DIGESTS["Nehalem"] = DRAW_DIGESTS["Sandybridge"]
@@ -198,14 +198,14 @@ def test_random_circuit_and_simulation_bits(gate_set, width):
 WIDE_DEPTHS = (1, 3, 7)
 WIDE_DIGESTS = {
     "SkylakeX": {
-        ("full", 9): "500d0a92ae65b4c84afc437f623f8ec1264f6f5b05d0b9c12202ffa5bf114b1c",
-        ("full", 13): "2e466334443025109f263275dc25773121a5c7f46e8690b76beeb282f7adb70e",
-        ("restricted", 13): "8142f0b78b85ac4ce26667f890aff22dded8df082bfc2ff42a6ecb9df5039538",
+        ("full", 9): "da069fbacf66acddc3ef0855392e72260b0f56b88af4a4f1756a8344bb1b0aa1",
+        ("full", 13): "83c001f8f46c074df8cbbf81f928ba45358199e4b1ea10d7a9d4c046212f3bf9",
+        ("restricted", 13): "0eba7e0c3ff37b988b395c5bf75d663193aee41dabd9eb698cbd1464f9060a98",
     },
     "Katmai": {
-        ("full", 9): "942f223867a2571a39f9d6bb029cc6a31e8996bb1e8330dd0384037cc9700c74",
-        ("full", 13): "3b5ac6c78043ca058a7b4e0ad0f1a9540e1290b453b5a689601a55e3e310aeaf",
-        ("restricted", 13): "8142f0b78b85ac4ce26667f890aff22dded8df082bfc2ff42a6ecb9df5039538",
+        ("full", 9): "65b9458cf227f699ea624a895c7079b7da4d25332bbc2d2cf6f866b6e979c634",
+        ("full", 13): "efc27b89863a891d0f2962a49361a246bc834f1d7ffa5b3b4494744d139272d6",
+        ("restricted", 13): "0eba7e0c3ff37b988b395c5bf75d663193aee41dabd9eb698cbd1464f9060a98",
     },
 }
 WIDE_DIGESTS["Haswell"] = WIDE_DIGESTS["SkylakeX"]
@@ -227,54 +227,54 @@ def test_wide_simulation_bits(gate_set, width):
 # differ from Sandybridge's.
 ML_TRAINING_DIGESTS = {
     "SkylakeX": {
-        ("full", 1): "59b89418c42a0ae6071e0d00192d7b113dda46eed146e0e50230a139a10133dc",
-        ("full", 2): "728ea9b2c224d43622b0b537d8bccc46728e34e60d4f95a3e3c541540a11d0c6",
-        ("full", 3): "ae9abd8bbc238b3fc62ecddf59c09d7c1aca75760c633439c0ecd9522e41f361",
-        ("full", 4): "b54d9eaacc7aeb626fce6fece9873e125dd2f41008aecb5ef5f4d36f7acfbc54",
-        ("pair_heavy", 1): "2e23f426a08458d26f31a3b8b5dfe4dd26697b90ae0689c4ee4136a29380420b",
-        ("pair_heavy", 2): "140fa3c3a3e20b71b8a4d02cad2ff5473a26c971783758b074787c41ad15c730",
-        ("pair_heavy", 3): "8afb70e58986fbf91c83a0f0da57dea710b2bf94f9aa5e9c8ba97855ccc5f454",
-        ("pair_heavy", 4): "a85089f0d79ca68e7decd377c725a3cf7df0b23b3cf6671234f58231b4d2dcb5",
+        ("full", 1): "7d1561669cbbded64126e6d9ec9f0b48a1544e124826ccaf67b620a515ac3a6f",
+        ("full", 2): "16141862dd9b7ef87a26d5d57452f4747d6c8f262589a6d1e19b4d0ba5870294",
+        ("full", 3): "36d96b5aa525a50d211f1814f17513bdc8c77bd03790ce18e560124e72c51030",
+        ("full", 4): "3ba5892e40decf3694c7aa8be7462cd056762791ad55b896918d08a7ff17a7ab",
+        ("pair_heavy", 1): "b01b7af06ab5a5a0c69acf894d9f0ab15b1f2268e48778cd13c3ebf2560f2264",
+        ("pair_heavy", 2): "1bbc1791c53876a877341227136dd310bc3e99eab595941c727feca9a276fede",
+        ("pair_heavy", 3): "7378ef69af4f133406bc677d03c150bcea473246aa71aee0d770d31cbaaa05ee",
+        ("pair_heavy", 4): "26461df388ff5ae631d2c89833bb360ac340602439e07df53f7845dd7194d5a4",
     },
     "Haswell": {
-        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
-        ("full", 2): "4103ed77028cf7d431307500a27c98f573fc81b070b9ff580d2112e95d2d1a52",
-        ("full", 3): "ab2f3220a7dc95d50f529b1ec4a51ad51caec2e8725dfb2571be870157bb54f7",
-        ("full", 4): "041486d4879ee901de8c87aa9dafa1039d0ecd749392b39f5d0b80665d603f0b",
-        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
-        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
-        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
-        ("pair_heavy", 4): "322eb558054492f660ea9eae6465759c25b26af2fdf981d5a47f9b72deadcb70",
+        ("full", 1): "be2b9aee946165d78312c072c720cbff4e4ab18221a1afaccb1ae4b360e2f043",
+        ("full", 2): "51c9b51fd1615d990d12b0ee2a355ed91e812edb674323b50a9a25ba583e6e00",
+        ("full", 3): "3157acb729835dbaafb2417b7b87d6617207817d03f73d5a5056572873cfca87",
+        ("full", 4): "29e4df5aa4f7cbdc5102e627f3a5d182cf13e8e5dd02a3c9f4098022f54be0c4",
+        ("pair_heavy", 1): "ff0b0146361f632c46351062b3026b0b8c1f4c8f8d0fb4a9b1b70c1b4524416a",
+        ("pair_heavy", 2): "ede1bf27131341f878dd1757921cb10da57eae9340edf7c62315b9bd16cf3065",
+        ("pair_heavy", 3): "7e77bf88a78190450bcf2471aacec510e520b6ad34d2e8b84f983c045526904e",
+        ("pair_heavy", 4): "0a905df7cd66e8180630a7c35ac58ad164612ed6dc3107bcd8e0442c8ea8ea3d",
     },
     "Sandybridge": {
-        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
-        ("full", 2): "4e82487d4c48899ad725b0e5469fdbc3b5d9418fe0cadb77d7be9666183ec0a5",
-        ("full", 3): "e00fb0eb621d7f6fb7497217bf361b490fc264a6f15d3d9d7b9b818563b1bff1",
-        ("full", 4): "9a80c0626f06e6cc9a83a7139b8b5646158019b933afe9e9f5b68b1838b536a5",
-        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
-        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
-        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
-        ("pair_heavy", 4): "322eb558054492f660ea9eae6465759c25b26af2fdf981d5a47f9b72deadcb70",
+        ("full", 1): "be2b9aee946165d78312c072c720cbff4e4ab18221a1afaccb1ae4b360e2f043",
+        ("full", 2): "21d4614a0bfeb09f6f6e969954ba1443b97c57071cf4cf68895a8144235bb6d9",
+        ("full", 3): "d061251bc400dbc7bfd82bd595f5f6a0b1a76a280fea4506d3cad5a2181b56a4",
+        ("full", 4): "24cc193f76600ce0bf69124d52da01a8ed972a98a60e273eb908936ad0738e68",
+        ("pair_heavy", 1): "ff0b0146361f632c46351062b3026b0b8c1f4c8f8d0fb4a9b1b70c1b4524416a",
+        ("pair_heavy", 2): "ede1bf27131341f878dd1757921cb10da57eae9340edf7c62315b9bd16cf3065",
+        ("pair_heavy", 3): "7e77bf88a78190450bcf2471aacec510e520b6ad34d2e8b84f983c045526904e",
+        ("pair_heavy", 4): "0a905df7cd66e8180630a7c35ac58ad164612ed6dc3107bcd8e0442c8ea8ea3d",
     },
     "Nehalem": {
-        ("full", 1): "e99310c5559246f5309cebc20f115348f8e6252687146c23565d1eb98fde34dd",
-        ("full", 2): "4e82487d4c48899ad725b0e5469fdbc3b5d9418fe0cadb77d7be9666183ec0a5",
-        ("full", 3): "e00fb0eb621d7f6fb7497217bf361b490fc264a6f15d3d9d7b9b818563b1bff1",
-        ("full", 4): "cb76d18d3c689ca17f23385de7bd46b28c9f94fe44e87338e21742b84b1cbedd",
-        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
-        ("pair_heavy", 2): "0710b3bcc5345a9d69da0d5f9326c6d6ce14bc6ed44c0cad86c08fe0493fd92a",
-        ("pair_heavy", 3): "b13ecb8f239bbc6369cb5e1d95eb117b858d1cd7c3ba68e376673045a3a37fcf",
-        ("pair_heavy", 4): "12ee7bf05f2ea4adcb63dfe486a4633335b6cb80522df91d2f5a2704e6aefc9a",
+        ("full", 1): "be2b9aee946165d78312c072c720cbff4e4ab18221a1afaccb1ae4b360e2f043",
+        ("full", 2): "21d4614a0bfeb09f6f6e969954ba1443b97c57071cf4cf68895a8144235bb6d9",
+        ("full", 3): "d061251bc400dbc7bfd82bd595f5f6a0b1a76a280fea4506d3cad5a2181b56a4",
+        ("full", 4): "26c6aa8a3630bb577c61e03565c4f9874bf9c64cf0b0df36792b0fe406cc9777",
+        ("pair_heavy", 1): "ff0b0146361f632c46351062b3026b0b8c1f4c8f8d0fb4a9b1b70c1b4524416a",
+        ("pair_heavy", 2): "ede1bf27131341f878dd1757921cb10da57eae9340edf7c62315b9bd16cf3065",
+        ("pair_heavy", 3): "7e77bf88a78190450bcf2471aacec510e520b6ad34d2e8b84f983c045526904e",
+        ("pair_heavy", 4): "9a20091a453c895e51b56ec495fd9833b1c7f208ada1f03e6ae0c697694dfbf9",
     },
     "Katmai": {
-        ("full", 1): "740a5876099bcc11631634528fac6bbaa877024aae56906c31c34e05bfc1c1d0",
-        ("full", 2): "2c3058451ad54fb98dc13369046fabcc467624ef13faa7617833dd496cc476b7",
-        ("full", 3): "484349c322addc82d7f287e937286768427d04df98f5d25ae13fee2c20700048",
-        ("full", 4): "be3248afbf6cd788cc01b728a206956d85f96899a5d804572a8b975ba0432182",
-        ("pair_heavy", 1): "2ecd1cdf921355cce65b6f3d3347e47121d02db7bb96fec6319204a71ba227e4",
-        ("pair_heavy", 2): "a40e8b4fc3ca2a517bd24f6fe5f259b0fa6f220824115dc91a54e99a57a06ec0",
-        ("pair_heavy", 3): "b3307a7c0c60a3c51905f82c5919273edc9d47b6f4760164e8e8b4bbaf9dd882",
-        ("pair_heavy", 4): "12ee7bf05f2ea4adcb63dfe486a4633335b6cb80522df91d2f5a2704e6aefc9a",
+        ("full", 1): "be2b9aee946165d78312c072c720cbff4e4ab18221a1afaccb1ae4b360e2f043",
+        ("full", 2): "b2521e641292120fff8d3fc3161af58b829791a5e3d01a87dc5c1aaa15f78329",
+        ("full", 3): "ecb92865ea5045a2d0481044db8be37dbc886fadddcb2fb4c8ac55abe063a414",
+        ("full", 4): "8d6257f2ecb12d4e87932d0ba42f29735466fd23ea1c397d3491d8c22c697bda",
+        ("pair_heavy", 1): "ff0b0146361f632c46351062b3026b0b8c1f4c8f8d0fb4a9b1b70c1b4524416a",
+        ("pair_heavy", 2): "9ab12b9c201a39fb59e29bf796c5b593fe73ecb0496dc6917ce6198f8fbf426e",
+        ("pair_heavy", 3): "b734d01bc9d7a60e52189dc6122e3e34cf84dee86c45a0ee38e57e550b056b08",
+        ("pair_heavy", 4): "9a20091a453c895e51b56ec495fd9833b1c7f208ada1f03e6ae0c697694dfbf9",
     },
 }
 
@@ -306,28 +306,28 @@ def test_ml_training_bits(gate_set, width):
 # Nehalem and Sandybridge gave the same digests.
 ENTANGLEMENT_DIGESTS = {
     "SkylakeX": {
-        2: "3d29ed3d3c26eb729af2eb4a71f78fbdae3021369408d5bd2d764e9f2cdace37",
-        3: "4dc9e8f51cdf354b1d3ac3c0bf2b9575d9db5dc98f9e5c4df23743dc5bf56926",
-        4: "976a05c84f9c7aef322b3cc71e33d1ff51f382bc8649e6152bef6a05fb2bccb0",
-        5: "99da9c32cf893393df3355e0088ad2eb3f4373269e22ca35d3663e85cd5ea942",
+        2: "99135d68ec3b3765bf86451ba7937e81dffe3e7fed9ffff46ce230e6ce69eb0d",
+        3: "1a8cafdbf5c14436fd93b8ee3dbf5945da9685978da9532dc167a3ace6dc2624",
+        4: "6bd4320f655006c65d7d34cb081d941e69e5db9f8894bc188dfe7ace3dc399c9",
+        5: "5a4b13a6a2c62517425774e1eb0d1b2fc49b9e1cbf91d61f3abb98508c3d4293",
     },
     "Haswell": {
-        2: "94460d27cb9244748f3aaa28f184f90abd37243a99b6b56c6ddcb6a8c0005462",
-        3: "3e4d7a52c9a3dd4f4f69fdf6a4c20afa068986a8dd91162b768a237ca30297ee",
-        4: "a0bf2364f7792c19c12bfdab10d282d4618fd876fd2d23ae6e2c7164e9c9d5da",
-        5: "ef877288e4df494cfcb7accf7779452eb649e301e17ba957ed53d64f221c887d",
+        2: "6f86569dbafd0d148121238fdabfdf93be3bfa6e82cf4b2e6790b6477c9b8516",
+        3: "43046393f8fd21d9abb0cadb3dd5b509ce00ce1cebb8b6df00ace0dd1579570e",
+        4: "fabbb44dffc788ed49f2e316b666489049b3f9103f8031c7cfbf97f7f8116cbc",
+        5: "614c529064a8913c4f579987081dd990870c29279d8a360321cc01b1460930f2",
     },
     "Sandybridge": {
-        2: "f43a25ee446614ba814d935236adc96c016e671463632bede23140ac98dcb639",
-        3: "c97228e75346de7c3db0934c99fecf67e6a40905330ae065ac1aa756c7c1e1d6",
-        4: "3536f535b546711b118390a6433bee65f0b9f9535f50063238879e510f38d4b6",
-        5: "f740fd4ef6bad61a1623ac4f372ca96f2c56d07675b9c3058cfc5517e1c91c0b",
+        2: "0880f0ad088ac68e79663bf3b2852e0b05ffea01680b0b0a0e6f8985c698a64e",
+        3: "b6f7f4bd8b28a49e2e0dcc5a41f749bffec20471e0b822082fbf0b5b567b7697",
+        4: "f796e19bdb7d5c7f773b66743e65da740ce34a56f71c6dbc6b424f102ef282f2",
+        5: "b5c01615eec2caa5a89ad564955adafd8657c04d905f234adb566efc28a65c41",
     },
     "Katmai": {
-        2: "117b6f8d900bbc139c8fe4fa3ddb54789c5fdffa12603e12c95d569b04e8b2df",
-        3: "37085a46f19b5c41d81a62d94478fe4728486df8f852b0fadcf7c4fa843c4b97",
-        4: "4377ee389bdd30463f4a4203b81de56371be6f132a4f255f2c1db85703f05531",
-        5: "daa212b39ce9ef948dee9a4cf174afc386cc00c99dccf3f020215511b7fda0e0",
+        2: "855b6ad84e0065a984b82d64a738b6e9ae98baf3436e04d891c19be67461783c",
+        3: "07db43cc525ceb9a60a44aea3627d7457108373f5fcbc596a7be3d148c551d2e",
+        4: "b6db25f0a4247c16206131bac4ad59d103b48874881d9f68c0771370d6bc9bf0",
+        5: "0d6a0a7d1c8fb1dcfa72f73f865a7eaae863e3efbdecff06463e65bc626f629d",
     },
 }
 ENTANGLEMENT_DIGESTS["Nehalem"] = ENTANGLEMENT_DIGESTS["Sandybridge"]
@@ -357,27 +357,28 @@ def _draw_digest(gate_set: str, width: int, make_rng) -> str:
 
 
 # sha256 over serialize(circuit) alone, drawn as for DRAW_DIGESTS, and the
-# generator's next 8 bytes. Drawing uses no BLAS, so these hold on every
-# CPU and under every OpenBLAS kernel.
+# generator's next 8 bytes. Drawing uses no BLAS and only elementwise IEEE
+# arithmetic and a stable sort, so these hold on every CPU, under every
+# OpenBLAS kernel and with numpy's SIMD loops turned off.
 DRAW_ONLY_DIGESTS = {
-    ("full", 1): "c47c0be2b95ac352056fbe02a97d14cbdc310443a9f9989950b8749c8397528a",
-    ("full", 2): "3b5c9657868af09dde403931eaf711fa860213879728eba9385159c9bb5074b2",
-    ("full", 3): "5742142ee4fb8b7c4e6ef7f3992d25fa0dca2cdef54c939321d97ec05e665288",
-    ("full", 4): "0eafbd90717abe15c55f44a72c5442ab7d24c9df08a08b8c9be49cafdf3e70d0",
-    ("full", 5): "64db3e6abc1604dc7ee0bbd54b0e87472b707dd1578a236b16ab72f618b55526",
-    ("full", 6): "12b133c6d855253b54046f6e00d69b9cae126da60b7fb9c8cf1cb33b022a9a90",
-    ("pair_heavy", 1): "b846fbc81a9aa6a0647c9a9716af8d5c354ffe24f910ce9573d933576c495100",
-    ("pair_heavy", 2): "feb49140a62b73cf203e376098972949f220c86d670f432f70a04920e00f5a3c",
-    ("pair_heavy", 3): "edd28d8ebc6d1311547ba70d3c45dbc2ae4ad0bb241288aa9f5b41de1cba2b96",
-    ("pair_heavy", 4): "d66753c0e5c49ea83ef6b63da547cec24478724ead524ccedbbc3d2bcdf39a82",
-    ("pair_heavy", 5): "e6cef0d7ec5a02cc2ec18fd2de83ebcded6a01578849d76b5036ec293143fe34",
-    ("pair_heavy", 6): "c6d190a6cbb6c4df657d1df4da6d0627e58133b8dc36c51d4fa0a3afe3349c4a",
-    ("restricted", 1): "a66bf366708700c6f9cc3958f64b76d1dbd15366c356fc662fd3274aa6bfc411",
-    ("restricted", 2): "3e6984362230c3ef4acb11a437e60d20795b3de1c635891dba5a893ecd3535a8",
-    ("restricted", 3): "bae52cd06a97a45a9cb22485bcf6d2559b870988e72f37f781454a4eb21164a1",
-    ("restricted", 4): "664f20ab7a69a854beef75c4639dcf52f25e783036cb5cffd4d20bc499d9d210",
-    ("restricted", 5): "167bde28c86a760341884cd8a3d755ea4fb44f6d4676b9ce31cff8f0b0125cc1",
-    ("restricted", 6): "a07bb678f507a41669161b7c02960d688c584caa5ae2f54f03b0cb29fe17a53c",
+    ("full", 1): "666a773d9ee073d929dea3eeb6f929405cab5885333158b44269d377e4e7d7c9",
+    ("full", 2): "86c823d01fbdeaa4e123a758b7d3d63fd0667bd38b9f330fc366819f69b81646",
+    ("full", 3): "159792238cc5f5dcf3f6dd41c292ceb9401eb6f0789a9169155924d7639e6da2",
+    ("full", 4): "c8963e80f4d116a370b3993e32b3457ea74ecd993912a251fab2049e17e6dea6",
+    ("full", 5): "ff588c88bcab4e9e7bfd429471452b83ba9b7b2e37c4d591eee65f330c27d602",
+    ("full", 6): "2dcd916e8745fe8d31d5b9f764277581f1e6e792c671336fdfe1c53ff3dce147",
+    ("pair_heavy", 1): "1b0d4ebf2c4b888d5e66cf636cb3ab457b4b2d66be591892261c431a2b989862",
+    ("pair_heavy", 2): "0f1338dc44f2ca7e888d1c77a8ededcff4deac14df2150f611a85b85280abd36",
+    ("pair_heavy", 3): "cb8721386071c600be9868a87ca27c00a8f4d5194872308c1486c26ba08c093a",
+    ("pair_heavy", 4): "e91bb36c9d56895d8dd71896b88abc424268d6fab96dc83fa91ef7a4ed4fc02c",
+    ("pair_heavy", 5): "c28e8c3f92ac134028290620d044dd06dfb2c2425cb0fb29805028d56126e5b6",
+    ("pair_heavy", 6): "dc1b3bc824ee9196fe866e691bfabd8f04ffb54ea7b41c7696669b7090f4b829",
+    ("restricted", 1): "5e0ed59f82cf8f552ac91181360a4d6af176759313adff64f7940ad5e4226f3d",
+    ("restricted", 2): "117544ec9c3525154240559204cb49450213a3d7af3c4c89af2df12fab91bc2f",
+    ("restricted", 3): "b465a9c8e7d276f29a143cfd702876c6653f44cd0f1a33ea1920653342a5ff93",
+    ("restricted", 4): "d77439fc80215769dda3d809013d930f48f03f9614ac631e662d0a7a4981be72",
+    ("restricted", 5): "2507104a9311424b6bb55c5b048daf2c87c8dd6e083ed477444c868c14ddbd65",
+    ("restricted", 6): "3bac9168d7d65c086ee20df23bb0f8716bf49e1941914b6475b9807b34edcb89",
 }
 
 
@@ -387,27 +388,27 @@ def test_random_circuit_draws(gate_set, width):
     assert digest == DRAW_ONLY_DIGESTS[gate_set, width]
 
 
-# the same over MT19937, whose draws random_circuit takes through numpy's
-# Generator methods
+# the same over MT19937: the circuits depend only on the doubles that
+# Generator.random returns, whatever the bit generator
 MT19937_DRAW_DIGESTS = {
-    ("full", 1): "fdcdd96b1dd4a8e1d0177e2a4a0dcbf7fa0bae64f7b6862dc7ff15de52d04fba",
-    ("full", 2): "a655f20301d2a944358b73925d1bb4cd8f67854ee52082d59a926a7865271219",
-    ("full", 3): "74185fe382493312bb3121afa0243436a75bd15a435472ee7f707b3d631f02ca",
-    ("full", 4): "fdb8c00c1f72d90abd208257d4c8756dba58a28be1e36ad4378823aece97f7ce",
-    ("full", 5): "fbd9c3bbefb87dde40bb19d8d8dc672a8d5dfae711e15d1b9233a651438c9e55",
-    ("full", 6): "6c5bb71efde3c70d7175eda3b1ca60e04b9b1a27ef090b07774b27635056e7ac",
-    ("pair_heavy", 1): "7d352f60628a9f9ef676d9a5bb3313d5f61c8a3783c53f09f7c1b6b10d3f5e48",
-    ("pair_heavy", 2): "cd31dc8037fab62c1c1a4d79f43fc5cc25b5db2178cd5713bd4bef9b5daef9c9",
-    ("pair_heavy", 3): "d7edd5d733ccff550237789f39666b22e7c656cb5188314cf39a02c98cc45b5b",
-    ("pair_heavy", 4): "1127253b996ffcaaa2473bbc8fe0fc241f3f6507da37b99165f71161cb210c57",
-    ("pair_heavy", 5): "b29e731333bdef6fb003f39e8d264d152a38cda99bf0928028404c7723ccbf0b",
-    ("pair_heavy", 6): "776cd5f1e094c45578d8cfe55aac6b8555b6fc664fd74ffc03a49357d6892d1e",
-    ("restricted", 1): "5801c1bb2e9b321bca0f04c392d147d2fc0bdc56d34d62807cc46faa7e561989",
-    ("restricted", 2): "033f039e5b026900e514d2a4116ea7d36b0a36b01eb4c3b11e914b5f922f15c2",
-    ("restricted", 3): "97d7bd38a5b5f8498cbdfc962fc0f55e6aae75d87fa24a1cc60068a4beb7507b",
-    ("restricted", 4): "b7b6dcb0e44c2463872bc62b9843c22533aaea7ea5816cc94ab797482a91b1d3",
-    ("restricted", 5): "898073e0474883a256e2d41b3f88cacc2bb203cd06f08fe4e33b1aac862a7f8a",
-    ("restricted", 6): "edea20252a5af283183609e5666755572dcbceac5533fb7ed22a8e14e83a21a8",
+    ("full", 1): "38051d337206859184da7aeb906c8690a1da907ed9d3898bf1e3a4066a11af5d",
+    ("full", 2): "70f1bb6a166ccb052a5584016ed3679687ece3e418ae8905ba3b7c4cdbaa91aa",
+    ("full", 3): "031a5fadb405ce1a24dacecccad38e04efc2e09859c6dab4cfd38f8e396027e5",
+    ("full", 4): "363f5c7c91d08f5e00f7d178585dc9b48645a83ca84ec9e704974a6ec3278b96",
+    ("full", 5): "5260acb16c3e8a5870ab606f7cba6d0bafd4dcaaf3e4f972b45cbd6b30a35176",
+    ("full", 6): "3c44fcd5ae1c9974f0d3e38ae16ce8cc648056eaf3f3a67711883214208fff2c",
+    ("pair_heavy", 1): "b07600ce363cfa1f8156b177ff0370948f3072958d6da7bd61f94b3ebb9d821e",
+    ("pair_heavy", 2): "8fb2af3ecf04897c32e00102e12b95b8b4390552195ebea925a88dddd9115493",
+    ("pair_heavy", 3): "80c3d8967a8430e263c5eb7d778120eb82a1038afc9e80292fec97be795e2868",
+    ("pair_heavy", 4): "d8f05b9d156f70b42731402eee8e3ac7cf46c219e5fac23abb9d524ecb100879",
+    ("pair_heavy", 5): "55d3192eff32c3bb1f1ed75e0a29d3024406d714cd113342dbd4fd9ad30ef455",
+    ("pair_heavy", 6): "407c1f19f6731c9ffbb4cbf3729b5482e29a60558f567f230f77317f6c887470",
+    ("restricted", 1): "f872eadcf30f2dad3dbfbb4ca4cfda90197ffcb0f05eea12ebb606352c39b0ce",
+    ("restricted", 2): "b558a77983dfd8d4d0e7fdcc19e3c4f377f3958243db8c5dd1dd413d76a6bd56",
+    ("restricted", 3): "7dd9e6aad828a525af185b1d12799e95ddfe4689faf88f30dd44ad5091c9a14e",
+    ("restricted", 4): "dc5f4c313fddd5302df057e31342f57992c7aa0657978dbff511eb7861d5d5fe",
+    ("restricted", 5): "41501367ce9ff8b855a4a621f1e4e15c99df60cc84f90e786fedcc64f83006b7",
+    ("restricted", 6): "ee0469e4bd73eb060388b03443eaebc978fcf07fcc54356faecb27cef0d478fd",
 }
 
 
@@ -451,12 +452,12 @@ CROSSOVERS = {
     "blockwise": crossover_blockwise,
 }
 CROSSOVER_DIGESTS = {
-    ("single_point", "full"): "4c14b6ea22ed8a16753f907161ff3faa3c780a3093566c70f4126d4469b1c827",
-    ("single_point", "restricted"): "2829aa145fc26a697957b4ae8b0f5a5426993957cc0a15732efd6fed00074e38",
-    ("multi_point", "full"): "5aa10a0f7e66babd36a742a36070c505887e38cde8905856e359314c6d590d1f",
-    ("multi_point", "restricted"): "7bcdcabe87b8f9cf6d747bd9f54c69b4fd87de3a3299ad6fd2e5be8a21bfe37c",
-    ("blockwise", "full"): "97150d68bbad663bbb45ec3114098ff2d983e5004bb91642e83fa52029c68fdc",
-    ("blockwise", "restricted"): "f519df1a3129ff154aae58f1870b298adf9e5ceb3f9f6c03afc728de5e40a746",
+    ("blockwise", "full"): "f82adec411eea8cde5c51e5714877b75e4e7047e168cb23dedf04f483e05afca",
+    ("blockwise", "restricted"): "7a028e67a0815c5569c46bf7b06a6adc5d39150973bba7b80d289e2020f70dfc",
+    ("multi_point", "full"): "15651f2653f00dd9295bb30f9447f44b58e6eca594f90c4bba6abe99805d6321",
+    ("multi_point", "restricted"): "2203564d57c75e43212bc218c07f9768b6e2044659996fcd4bafbfe605509c3b",
+    ("single_point", "full"): "fa21602392c7d5812b718d25832da2c919e2de2f2128dae44e120a550fdafd8a",
+    ("single_point", "restricted"): "b2a161f7c7b1c90f5e9e3c4408dec123dc6469c3d26da0229e86e077c4fe333d",
 }
 
 
@@ -480,7 +481,7 @@ class GateCount(FitnessFunction):
 # multi-point crossover at depths 1-4 and crossover_points 1, 2, 3 and 9,
 # in order; mutation moves the width in [1, 4] and the depth in [1, 8], so
 # the padded pairs leave room for fewer cuts than asked, for one or none
-MULTI_POINT_EVOLVE_DIGEST = "76fa2f8769b175b023bce2dc317f3a96f3aa509c472f2241d76293eae98a6d4a"
+MULTI_POINT_EVOLVE_DIGEST = "790dbd764095b5af6d3837ebe95c9d937570ebe4d4f8618788bba7708cd6af60"
 
 
 def test_multi_point_crossover_in_evolve():
@@ -508,18 +509,18 @@ def test_multi_point_crossover_in_evolve():
 
 
 MUTATION_DIGESTS = {
-    ("single_gate_flip", "full"): "dd6c65c20ec4dc705d502c50584dcdec841bc8d9c063ac4668b7f1126fb65aa3",
-    ("single_gate_flip", "restricted"): "1ec750091c57221e4523901b79b9be87ddc412fcd02d43fc434261afa88f570e",
-    ("swap_control", "full"): "1421d5e907311906826b5ee56d4d55173d142a3247580c0d44ee2b92f3f4d54a",
-    ("swap_control", "restricted"): "1dde9b945a1b915f80e48c9bee7a4c0e892ee89feecde7881c0717e7c5511a0b",
-    ("qubit_count", "full"): "e312b75d4693cd7792ac5a85f53f1e6adf7c42154d15106c0340073cced8d0fc",
-    ("qubit_count", "restricted"): "4d4ea36c9b73929eaa660a30a5ce47272cd88f0db86a0d32025ac90d5f824156",
-    ("gate_count", "full"): "ca6c449f15626986ebbc0b54001b051aa948fa0d92308e3c74d9a0e3826947eb",
-    ("gate_count", "restricted"): "d85619e8a854a22bd34878dd29a225428e1b71a693be29935d5a958b12c3495d",
-    ("swap_columns", "full"): "61a1e80114c5a34274d16f2bb5fbb9caea9780c56c04bb43512a669173668ea5",
-    ("swap_columns", "restricted"): "7f3df938b5d8bfcde4550618f20008f889375eb3b9b641f2862e89be858f4abb",
-    ("parameter", "full"): "a988751c9b76ad12f53b0e9d4737baf7221395f76f374387db5cc7c6ae483b42",
-    ("parameter", "restricted"): "dadc822d7ee1a646976f29e721d6914261504ffec1db195b063d66bdb1f6255f",
+    ("gate_count", "full"): "a1917323ae748c3ee15d1476f98966e90737a3f04679f8c8c0ffa722b25644ca",
+    ("gate_count", "restricted"): "53fe3d2ac5463882e95ca27e2a743b2db4022c686dd3d3ae92ea036a4b35fffb",
+    ("parameter", "full"): "3ff7d363e827bc687ba01c2e66dd0b263b269fe58e5df56b212ef8af6b2e274d",
+    ("parameter", "restricted"): "b477c45f5253dc266825c10ad5276e1daf0762bdf43cae6ccb7fa08a2fcb9279",
+    ("qubit_count", "full"): "ccee85801e92108140aa44df786243e1ccaeda6e9ca778b28d5e915139da3692",
+    ("qubit_count", "restricted"): "e72c637d089a6ff7b724071e26512e22d4d7880c521e23ba7b8dd3c99942cfad",
+    ("single_gate_flip", "full"): "8c573019042207a1da553a6d068e703d66637b74eb8f263a51b26115a468bff2",
+    ("single_gate_flip", "restricted"): "3a38a733adae731970ba6d3a9c9b9d6b97e98e23e393e4eafede4cc4c8054e2e",
+    ("swap_columns", "full"): "1c509cdd2646ae028b0a06a7bd27f50f5bba5be7d1a4eec29b6faf3358c59010",
+    ("swap_columns", "restricted"): "55d17dbfbdacf16342ee6cf9aa24ccfecd2043d1be3728915830ab9976a2cb08",
+    ("swap_control", "full"): "a8dee006c8a435aca0fea75458473952373a7cc4c0bc131c1a55b46f7adc2be8",
+    ("swap_control", "restricted"): "16c3a64ad5fad6f750c997a2f3920826bf5dcce3324ca4e3d589002801523157",
 }
 
 

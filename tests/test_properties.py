@@ -2,39 +2,45 @@
 
 Circuits come from the program's seeded generator over drawn widths,
 depths, seeds and gate sets; the round trip also draws its angles. The
-raw-word draws that build those circuits are checked against numpy's own.
+draws themselves are checked for how they split into lists, cell for cell
+against a loop over the same doubles, and against the exact column
+distribution that `random_circuits` documents.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from math import pi
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_oracle
+from oracles import column_distribution, draw_oracle, simulate_oracle
 
-from qcevolve import simulator
+from qcevolve import circuit as circuit_module
+from qcevolve import engine, simulator
 from qcevolve.circuit import (
     Circuit,
-    _PCG64Draws,
     Gate,
     Role,
     deserialize,
     export_qasm,
     random_circuit,
+    random_circuits,
     serialize,
     shared_cell,
     theta_cells,
     validate,
 )
 from qcevolve.errors import CircuitStructureError
-from qcevolve.engine import CROSSOVER_METHODS
+from qcevolve.engine import CROSSOVER_METHODS, RunConfig, random_baseline
 from qcevolve.fitness import (
     FD_STEP,
     Dataset,
+    FidelityFitness,
     MLFitness,
     _encode_features,
     _mse_loss,
@@ -385,75 +391,133 @@ def test_stacked_training_equals_per_trial_loop(
 
 
 # ---------------------------------------------------------------------------
-# raw-word draws against numpy's Generator
+# array draws
 
-# the k <= 2**20 whose Lemire threshold 2**32 % k is largest: about one half
-# word in 4 100 is rejected and drawn again
-REJECTING_K = 1047553
-
-draw_ops = st.one_of(
-    st.tuples(
-        st.just("integers"),
-        st.integers(1, 2**20) | st.sampled_from([1, 2, 3, 5, 2**20, REJECTING_K]),
-    ),
-    st.tuples(st.just("random")),
-    st.tuples(st.just("uniform")),
-    st.tuples(st.just("shuffle"), st.integers(0, 20)),
-)
+# gate sets a draw of at least two rows accepts: any nonempty set
+wide_gate_sets = gate_sets | st.sets(st.sampled_from(TWO_QUBIT), min_size=1).map(frozenset)
+bit_generators = st.sampled_from([np.random.PCG64, np.random.MT19937])
 
 
-def _serve(ops, ref: np.random.Generator, draws: _PCG64Draws) -> None:
-    """Run `ops` on numpy's generator and on the raw-word draws; each pair
-    of results must be equal and of the type the circuit code uses."""
-    for op, *args in ops:
-        if op == "integers":
-            got, want = draws.integers(*args), ref.integers(*args)
-            assert type(got) is int and got == want
-        elif op == "random":
-            got, want = draws.random(), ref.random()
-            assert type(got) is float and got == want
-        elif op == "uniform":
-            got, want = draws.uniform(-pi, pi), ref.uniform(-pi, pi)
-            assert type(got) is float and got == want
-        else:
-            got, want = list(range(args[0])), list(range(args[0]))
-            draws.shuffle(got)
-            ref.shuffle(want)
-            assert got == want
+def generator_state(rng: np.random.Generator):
+    """The bit generator's state as nested tuples, which compare by value
+    (MT19937's state holds an array)."""
+
+    def frozen(value):
+        if isinstance(value, dict):
+            return tuple(sorted((k, frozen(v)) for k, v in value.items()))
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tobytes()
+        return value
+
+    return frozen(rng.bit_generator.state)
 
 
 @given(
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.integers(2, 6),
+    st.integers(1, 6),
+    wide_gate_sets,
     seeds,
-    st.none() | st.integers(0, 2**32 - 1),
-    st.integers(1, 8),
-    st.lists(draw_ops, max_size=60),
+    bit_generators,
+    st.integers(1, 200),
 )
-def test_raw_word_draws_match_numpy(seed, buffered, block, ops):
-    """`buffered` is None for an empty half-word buffer, else the waiting
-    half word; `block` words are read at a time, so reads run short."""
-    ref = np.random.default_rng(seed)
-    if buffered is not None:
-        state = ref.bit_generator.state
-        state["has_uint32"], state["uinteger"] = 1, buffered
-        ref.bit_generator.state = state
-    rng = np.random.default_rng()
-    rng.bit_generator.state = ref.bit_generator.state
-    with _PCG64Draws(rng, block) as draws:
-        _serve(ops, ref, draws)
-    # the state dict holds the buffer, and the spent half word that numpy
-    # leaves in `uinteger` once `has_uint32` is 0
-    assert rng.bit_generator.state == ref.bit_generator.state
+def test_draws_split_into_lists_anywhere(a, b, n, depth, gate_set, seed, bit_generator, cells):
+    """A circuit takes a fixed count of doubles, in order: a list of a + b
+    circuits, drawn whole at most `cells` cells at a time, is the list of a
+    followed by the list of b, and leaves the generator in the same state."""
+    whole = np.random.Generator(bit_generator(seed))
+    parts = np.random.Generator(bit_generator(seed))
+    with mock.patch.object(circuit_module, "_DRAW_CELLS", cells):
+        drawn = random_circuits(a + b, n, depth, gate_set, whole)
+    first = random_circuits(a, n, depth, gate_set, parts)
+    assert drawn == first + random_circuits(b, n, depth, gate_set, parts)
+    assert generator_state(whole) == generator_state(parts)
 
 
-def test_raw_word_draws_redraw_rejected_half_words():
-    seed, n = 0, 4000
-    # n draws take every half of the first n / 2 words, and one of those
-    # is rejected
-    words = np.random.default_rng(seed).bit_generator.random_raw(n // 2)
-    halves = np.concatenate([words & 0xFFFFFFFF, words >> 32])
-    leftover = (halves * np.uint64(REJECTING_K)) & np.uint64(0xFFFFFFFF)
-    assert (leftover < 2**32 % REJECTING_K).any()
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with _PCG64Draws(rng, 64) as draws:
-        _serve([("integers", REJECTING_K)] * n, ref, draws)
-    assert rng.bit_generator.state == ref.bit_generator.state
+@given(st.integers(0, 9), st.integers(1, 9), st.integers(1, 6), wide_gate_sets, seeds)
+@example(3, 20, 2, frozenset({GateKind.CX}), 0)  # the widest, pairs only
+def test_draws_follow_the_documented_rules(count, n, depth, gate_set, seed):
+    """Cell for cell, angle bits included, the circuits the oracle builds
+    from the same doubles by the rules `random_circuits` documents."""
+    assume(n > 1 or any(k.arity == 1 for k in gate_set))
+    drawn = random_circuits(count, n, depth, gate_set, np.random.default_rng(seed))
+    assert drawn == draw_oracle(count, n, depth, gate_set, np.random.default_rng(seed))
+
+
+@given(st.integers(1, 8), st.integers(1, 8), gate_sets, seeds)
+def test_random_circuit_is_a_list_of_one(n, depth, gate_set, seed):
+    one, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+    circuit = random_circuit(n, depth, gate_set, one)
+    assert [circuit] == random_circuits(1, n, depth, gate_set, listed)
+    assert generator_state(one) == generator_state(listed)
+
+
+@settings(max_examples=20)
+@given(seeds, st.integers(2, 4), st.integers(1, 4))
+def test_baseline_trace_does_not_depend_on_its_chunk(seed, n, depth):
+    target = simulator.simulate(random_circuit(n, depth, FULL_GATE_SET, np.random.default_rng(seed)))
+    cfg = RunConfig(population_size=9, generations=5, n_qubits=n, depth=depth)
+    runs = []
+    for chunk in (1, 7, 256):
+        with mock.patch.object(engine, "_BASELINE_CHUNK", chunk):
+            rng = np.random.default_rng(seed)
+            runs.append((random_baseline(cfg, FidelityFitness(target), rng), generator_state(rng)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def chi_square_bound(df: int) -> float:
+    """A chi-square statistic on df degrees of freedom exceeds this with
+    probability about 1e-6 (the Wilson-Hilferty approximation)."""
+    return df * (1 - 2 / (9 * df) + 4.75 * math.sqrt(2 / (9 * df))) ** 3
+
+
+G = GateKind
+DRAWN_COLUMNS = {
+    "one-qubit kinds only": (3, frozenset({G.X, G.H, G.RZ})),
+    "two rows": (2, frozenset({G.H, G.CZ})),
+    "singles and pairs": (3, frozenset({G.X, G.RZ, G.CX, G.CZ})),
+    "pair heavy, four rows": (4, frozenset({G.X, G.CX, G.CZ})),
+    "pairs only, odd rows": (3, frozenset({G.CX})),
+    "pairs only, four rows": (4, frozenset({G.CX, G.CZ})),
+    "five rows": (5, frozenset({G.H, G.CX})),
+}
+# what of a column each check tallies: its kinds per row (frequencies, and
+# which row a pairs-only column leaves alone, which the visit order sets),
+# its roles and partners per row (uniform partners, the coin), and all of it
+COLUMN_VIEWS = {
+    "kinds": lambda column: tuple(kind for kind, _, _ in column),
+    "roles and partners": lambda column: tuple((role, partner) for _, role, partner in column),
+    "whole column": lambda column: column,
+}
+
+
+@pytest.mark.parametrize("view", sorted(COLUMN_VIEWS))
+@pytest.mark.parametrize("case", sorted(DRAWN_COLUMNS))
+def test_drawn_columns_follow_the_documented_distribution(case, view):
+    """20 000 drawn columns, tallied by `view`, against the counts the
+    exact distribution of tests/oracles.py predicts (chi-square)."""
+    n, gate_set = DRAWN_COLUMNS[case]
+    of = COLUMN_VIEWS[view]
+    expected: Counter = Counter()
+    for column, p in column_distribution(n, gate_set).items():
+        expected[of(column)] += p
+    circuits = random_circuits(2000, n, 10, gate_set, np.random.default_rng(11))
+    tally = Counter(
+        of(tuple((g.kind.value, g.role.value, g.partner) for g in cells))
+        for c in circuits
+        for cells in zip(*c.grid)
+    )
+    total = sum(tally.values())
+    assert set(tally) <= set(expected)
+    statistic = sum((tally[k] - total * p) ** 2 / (total * p) for k, p in expected.items())
+    assert statistic < chi_square_bound(max(len(expected) - 1, 1))
+
+
+def test_drawn_angles_are_uniform():
+    circuits = random_circuits(500, 4, 10, frozenset({G.RX, G.RY, G.RZ, G.CX}), np.random.default_rng(5))
+    thetas = np.array([g.theta for c in circuits for row in c.grid for g in row if g.theta is not None])
+    assert ((-pi <= thetas) & (thetas < pi)).all()
+    tally = np.histogram(thetas, bins=16, range=(-pi, pi))[0]
+    expected = len(thetas) / 16
+    assert ((tally - expected) ** 2 / expected).sum() < chi_square_bound(15)
